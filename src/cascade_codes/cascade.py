@@ -153,14 +153,15 @@ def injection_matrix(
     Entry (i, I) equals (-1)^{1 + sigma_P(i) + ind_{I+{i}+B}(i)} times the
     parent entry at (x, I+{i}+B) when i > max I, i not in B, and I and B are
     disjoint; zero otherwise. The parent matrix may be pre- or post-injection
-    (the read positions never host an injection themselves).
+    (the read positions never host an injection themselves), and may carry a
+    trailing stripe axis, which the result then shares.
     """
     x, b = pair
     bset = set(b)
     d = parent_spec.d
     m = child_mode(parent_spec.mode, b)
     cols = subsets_lex(d, m)
-    delta = np.zeros((d, len(cols)), dtype=np.int64)
+    delta = np.zeros((d, len(cols)) + parent_matrix.shape[2:], dtype=np.int64)
     for c, i_set in enumerate(cols):
         if bset & set(i_set):
             continue
@@ -246,7 +247,8 @@ def build_super_message(
         field: Field the symbols live in.
         k, d, mu: Code parameters, 1 <= mu <= k <= d.
         file_symbols: Exactly F field elements, ordered per
-            file_symbol_layout.
+            file_symbol_layout; an F x S array encodes S stripes at once,
+            and every matrix then carries that trailing stripe axis.
 
     Raises:
         ValueError: On invalid parameters or wrong file length.
@@ -256,11 +258,12 @@ def build_super_message(
     if len(file_symbols) != len(layout):
         raise ValueError(f"file must have exactly {len(layout)} symbols, got {len(file_symbols)}")
 
+    values = np.asarray(file_symbols, dtype=np.int64)
     per_segment: dict[int, dict[SymbolId, int]] = {spec.segment_id: {} for spec in tree.segments}
-    for (sid, sym), value in zip(layout, file_symbols):
-        per_segment[sid][sym] = int(value)
+    for (sid, sym), value in zip(layout, values):
+        per_segment[sid][sym] = value
 
-    pre = [build_pre_injection(field, spec, per_segment[spec.segment_id])
+    pre = [build_pre_injection(field, spec, per_segment[spec.segment_id], values.shape[1:])
            for spec in tree.segments]
     post = [pre[0]]
     for spec in tree.segments[1:]:

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,8 +127,16 @@ def encoder_conditions_hold(enc: EncoderMatrix, k: int) -> bool:
     return True
 
 
+def _apply(field: Field, mat: NDArray, arr: NDArray) -> NDArray:
+    # mat . arr along arr's first axis, keeping any trailing stripe axes
+    flat = arr.reshape(arr.shape[0], math.prod(arr.shape[1:]))
+    return mat_mul(field, mat, flat).reshape((mat.shape[0],) + arr.shape[1:])
+
+
 def encode(enc: EncoderMatrix, sm: SuperMessage) -> list[NodeShare]:
     """Multiply the encoder into M: share i is Psi_{i,:} . M.
+
+    A super-message with a trailing stripe axis gives payloads that carry it.
 
     Raises:
         ValueError: On a field or dimension mismatch.
@@ -136,8 +145,8 @@ def encode(enc: EncoderMatrix, sm: SuperMessage) -> list[NodeShare]:
         raise ValueError("encoder and super-message use different fields")
     if enc.d != sm.tree.d:
         raise ValueError(f"encoder width {enc.d} does not match d = {sm.tree.d}")
-    codewords = mat_mul(enc.field, enc.psi, sm.matrix)
-    return [NodeShare(index=i + 1, payload=codewords[i].copy()) for i in range(enc.n)]
+    codewords = _apply(enc.field, enc.psi, sm.matrix)
+    return [NodeShare(index=i + 1, payload=codewords[i]) for i in range(enc.n)]
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,8 @@ class RepairMessage:
     One block per segment in tree order; a mode-m block carries the
     C(d-1, m-1) coordinates of the helper's repair row in the deterministic
     pivot basis of the repair encoder, so mode-0 blocks are empty and the
-    total length is beta.
+    total length is beta. Blocks may carry a trailing stripe axis, one
+    message per stripe; such a batch is split per stripe before the wire.
     """
 
     failed: int
@@ -157,22 +167,23 @@ class RepairMessage:
 
     @property
     def total_symbols(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(np.size(b) for b in self.blocks)
 
     def to_bytes(self) -> bytes:
         """Wire layout: failed, helper, segment count (2B BE), then per
         segment its mode (1B) and its block as 2-byte big-endian elements."""
-        out = bytearray()
-        out.append(self.failed)
-        out.append(self.helper)
-        out += len(self.modes).to_bytes(2, "big")
+        parts = [bytes((self.failed, self.helper)), len(self.modes).to_bytes(2, "big")]
+        values = (np.concatenate(self.blocks, dtype=np.int64) if self.blocks
+                  else np.zeros(0, dtype=np.int64))
+        if (values >> 16).any():  # negative values shift to -1
+            raise ValueError("element does not fit in two bytes")
+        data = values.astype(">u2").tobytes()
+        pos = 0
         for mode, block in zip(self.modes, self.blocks):
-            out.append(mode)
-            for value in block:
-                if not 0 <= int(value) < 65536:
-                    raise ValueError("element does not fit in two bytes")
-                out += int(value).to_bytes(2, "big")
-        return bytes(out)
+            parts.append(bytes((mode,)))
+            parts.append(data[pos:pos + 2 * len(block)])
+            pos += 2 * len(block)
+        return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes, d: int) -> "RepairMessage":
@@ -187,7 +198,7 @@ class RepairMessage:
         count = int.from_bytes(data[2:4], "big")
         pos = 4
         modes = []
-        blocks = []
+        spans = []
         for _ in range(count):
             if pos >= len(data):
                 raise ValueError("repair message truncated in a segment header")
@@ -196,14 +207,15 @@ class RepairMessage:
             width = binomial(d - 1, mode - 1)
             if pos + 2 * width > len(data):
                 raise ValueError("repair message truncated in a segment block")
-            block = np.array([int.from_bytes(data[pos + 2 * t:pos + 2 * t + 2], "big")
-                              for t in range(width)], dtype=np.int64)
-            pos += 2 * width
             modes.append(mode)
-            blocks.append(block)
+            spans.append((pos, width))
+            pos += 2 * width
         if pos != len(data):
             raise ValueError("trailing bytes after the last segment block")
-        return cls(failed=failed, helper=helper, modes=tuple(modes), blocks=tuple(blocks))
+        body = b"".join(data[start:start + 2 * width] for start, width in spans)
+        values = np.frombuffer(body, dtype=">u2").astype(np.int64)
+        return cls(failed=failed, helper=helper, modes=tuple(modes),
+                   blocks=split_blocks(values, [width for _, width in spans]))
 
 
 def _repair_basis(
@@ -217,17 +229,35 @@ def _repair_basis(
     return pivots, t
 
 
+def message_widths(tree: HierarchyTree) -> tuple[int, ...]:
+    """Symbols per segment block of a repair message, C(d-1, m-1) each."""
+    return tuple(binomial(tree.d - 1, spec.mode - 1) for spec in tree.segments)
+
+
+def split_blocks(vector: NDArray, widths: Sequence[int]) -> tuple[NDArray, ...]:
+    """Consecutive slices of the vector's first axis, one per width."""
+    ends = itertools.accumulate(widths)
+    return tuple(vector[end - width:end] for end, width in zip(ends, widths))
+
+
 def helper_repair_message(
     enc: EncoderMatrix,
     tree: HierarchyTree,
     share: NodeShare,
     failed: int,
+    plan: NDArray | None = None,
 ) -> RepairMessage:
     """Compress helper h's contribution toward rebuilding node `failed`.
 
     Per mode-m segment, the helper's codeword slice times the repair encoder
     gives a row known to lie in the span of the encoder's pivot columns;
-    only those C(d-1, m-1) coordinates are sent.
+    only those C(d-1, m-1) coordinates are sent. A payload with a trailing
+    stripe axis gives blocks that carry it.
+
+    Args:
+        plan: The compiled alpha x beta helper map of this failed node (see
+            plans.helper_plan); when given, one product with it replaces the
+            per-segment repair encoders.
 
     Raises:
         ValueError: If the helper is the failed node itself.
@@ -239,22 +269,25 @@ def helper_repair_message(
     offsets, alpha = segment_offsets(tree)
     if len(share.payload) != alpha:
         raise ValueError(f"share payload must have {alpha} elements")
-    modes = []
+    modes = tuple(spec.mode for spec in tree.segments)
+    if plan is not None:
+        rows = share.payload.reshape(alpha, math.prod(share.payload.shape[1:])).T
+        coded = mat_mul(field, rows, plan).T.reshape((plan.shape[1],) + share.payload.shape[1:])
+        return RepairMessage(failed=failed, helper=share.index, modes=modes,
+                             blocks=split_blocks(coded, message_widths(tree)))
     blocks = []
     for spec in tree.segments:
         m = spec.mode
-        modes.append(m)
         if m == 0:
-            blocks.append(np.zeros(0, dtype=np.int64))
+            blocks.append(np.zeros((0,) + share.payload.shape[1:], dtype=np.int64))
             continue
         start = offsets[spec.segment_id]
         slice_ = share.payload[start:start + binomial(d, m)]
         lam = repair_encoder(field, enc.row(failed), spec.signature, m)
-        full = mat_mul(field, slice_[None, :], lam)[0]
+        full = _apply(field, lam.T, slice_)
         pivots, _ = _repair_basis(field, lam)
-        blocks.append(full[list(pivots)].copy())
-    return RepairMessage(failed=failed, helper=share.index,
-                         modes=tuple(modes), blocks=tuple(blocks))
+        blocks.append(full[list(pivots)])
+    return RepairMessage(failed=failed, helper=share.index, modes=modes, blocks=tuple(blocks))
 
 
 def regenerate_node(
@@ -270,7 +303,8 @@ def regenerate_node(
     left-multiplying by Psi[H,:]^-1 yields the repair space R(fQ). Column I
     of the failed row is then the alternating sum of R(fQ) entries, minus the
     parent correction R(fP)_{x, I+B} when I and B are disjoint (the root
-    needs no correction).
+    needs no correction). Message blocks with a trailing stripe axis give a
+    payload that carries it.
 
     Raises:
         ValueError: Unless exactly d distinct helpers, none equal to the
@@ -289,23 +323,24 @@ def regenerate_node(
             raise ValueError(f"message from node {msg.helper} for node {msg.failed} "
                              f"does not match helper {h} repairing {failed}")
     psi_h_inv = mat_inverse(field, enc.rows(helpers))
+    stripes = np.shape(messages[0].blocks[0])[1:]
 
     spaces: list[NDArray[np.int64]] = []
     for spec in tree.segments:
         m = spec.mode
         if m == 0:
-            spaces.append(np.zeros((d, 0), dtype=np.int64))
+            spaces.append(np.zeros((d, 0) + stripes, dtype=np.int64))
             continue
         lam = repair_encoder(field, enc.row(failed), spec.signature, m)
         _, t = _repair_basis(field, lam)
-        stacked = np.vstack([
-            mat_mul(field, msg.blocks[spec.segment_id][None, :], t)
+        stacked = np.stack([
+            _apply(field, t.T, np.asarray(msg.blocks[spec.segment_id]))
             for msg in messages
         ])
-        spaces.append(mat_mul(field, psi_h_inv, stacked))
+        spaces.append(_apply(field, psi_h_inv, stacked))
 
     offsets, alpha = segment_offsets(tree)
-    payload = np.zeros(alpha, dtype=np.int64)
+    payload = np.zeros((alpha,) + stripes, dtype=np.int64)
     for spec in tree.segments:
         start = offsets[spec.segment_id]
         space = spaces[spec.segment_id]
@@ -331,7 +366,8 @@ def extract_injection(
     Every position that can host an injection (row i > max I with i outside
     B and I disjoint from B) is recomputed from the parity equation of its
     group, whose other members never host injections; the difference is the
-    injection matrix. The root splits into (fS, 0).
+    injection matrix. The root splits into (fS, 0). A trailing stripe axis
+    passes through.
     """
     if spec.is_root:
         return f_mat.copy(), np.zeros_like(f_mat)
@@ -379,7 +415,8 @@ def recover_data(
         enc: Encoder the shares were produced with.
         tree: Segment tree of the code.
         observers: The k live node indices.
-        shares: One NodeShare per observer (any order).
+        shares: One NodeShare per observer (any order); payloads with a
+            trailing stripe axis give file symbols that carry it.
 
     Raises:
         ValueError: Unless exactly k distinct observers with matching shares.
@@ -393,9 +430,10 @@ def recover_data(
         raise ValueError("shares do not match the observer set")
     order_k = sorted(observers)
     offsets, alpha = segment_offsets(tree)
-    observed = np.vstack([by_index[i].payload for i in order_k])
-    if observed.shape[1] != alpha:
+    if any(len(by_index[i].payload) != alpha for i in order_k):
         raise ValueError(f"each share must carry {alpha} elements")
+    observed = np.stack([by_index[i].payload for i in order_k])
+    stripes = observed.shape[2:]
 
     gamma_k = enc.gamma(k)[[i - 1 for i in order_k]]
     upsilon_k = enc.upsilon(k)[[i - 1 for i in order_k]]
@@ -408,22 +446,21 @@ def recover_data(
         spec = tree.segment(sid)
         m = spec.mode
         cols = subsets_lex(d, m)
-        mat = np.zeros((d, len(cols)), dtype=np.int64)
+        mat = np.zeros((d, len(cols)) + stripes, dtype=np.int64)
         col_obs = observed[:, offsets[sid]:offsets[sid] + len(cols)]
         for c in sorted(range(len(cols)), key=lambda i: cols[i], reverse=True):
             i_set = cols[c]
             for x in range(k + 1, d + 1):
                 mat[x - 1, c] = _bottom_entry(field, tree, spec, i_set, x, mat, injections)
             # top rows: undo the k x k encoder block against the observation
-            down = mat[k:, c][:, None]
-            rhs = field.sub(col_obs[:, c][:, None], mat_mul(field, upsilon_k, down))
-            mat[:k, c] = mat_mul(field, gamma_inv, rhs)[:, 0]
+            rhs = field.sub(col_obs[:, c], _apply(field, upsilon_k, mat[k:, c]))
+            mat[:k, c] = _apply(field, gamma_inv, rhs)
         e_mat, delta = extract_injection(field, spec, mat)
         extracted[sid] = e_mat
         injections[sid] = delta
 
     layout = layout_from_tree(tree)
-    out = np.zeros(len(layout), dtype=np.int64)
+    out = np.zeros((len(layout),) + stripes, dtype=np.int64)
     for pos, (sid, sym) in enumerate(layout):
         spec = tree.segment(sid)
         if sym.kind == "v":

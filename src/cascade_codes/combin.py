@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -64,11 +65,13 @@ def validate_subset(d: int, s: Subset) -> Subset:
     return s
 
 
+@lru_cache(maxsize=1 << 12)
 def subset_rank(d: int, s: Subset) -> int:
     """Position of ``s`` within subsets_lex(d, len(s)).
 
     Inverse of :func:`subset_unrank`; counts, for each member, the subsets
     that branch off below it with a smaller element at that position.
+    Cached: the segment code asks for the same few ranks many times.
     """
     s = validate_subset(d, s)
     m = len(s)

@@ -110,7 +110,7 @@ def free_symbol_count(k: int, d: int, mode: int) -> int:
     return mode * (binomial(d + 1, mode + 1) - binomial(d - k + 1, mode + 1))
 
 
-def parity_value(field: Field, y_set: Subset, known: Mapping[int, int]) -> int:
+def parity_value(field: Field, y_set: Subset, known: Mapping[int, int]):
     """The parity member w_{max Y, Y} completing one w-group.
 
     Solves the alternating parity equation
@@ -119,7 +119,8 @@ def parity_value(field: Field, y_set: Subset, known: Mapping[int, int]) -> int:
     Args:
         field: Field the symbols live in.
         y_set: The group label Y, |Y| = m + 1.
-        known: w_{y,Y} for every y in Y except max Y.
+        known: w_{y,Y} for every y in Y except max Y; each a field element,
+            or an array of them along a trailing stripe axis.
 
     Raises:
         ValueError: If a non-max member is missing.
@@ -133,13 +134,14 @@ def parity_value(field: Field, y_set: Subset, known: Mapping[int, int]) -> int:
     acc = np.int64(0)
     for y in head:
         acc = field.add(acc, field.mul(field.signed_unit(ind_count(y_set, y)), known[y]))
-    return int(field.mul(field.signed_unit(ind_count(y_set, mx) + 1), acc))
+    return field.mul(field.signed_unit(ind_count(y_set, mx) + 1), acc)
 
 
 def build_pre_injection(
     field: Field,
     spec: SegmentSpec,
     symbols: Mapping[SymbolId, int],
+    stripes: tuple[int, ...] = (),
 ) -> NDArray[np.int64]:
     """Pre-injection message matrix of one segment, d rows by C(d, m) columns.
 
@@ -154,6 +156,8 @@ def build_pre_injection(
         spec: Segment shape and signature.
         symbols: Value for every free symbol of the segment, keyed by
             :class:`SymbolId`; nothing more, nothing less.
+        stripes: Shape S of a trailing stripe axis: every value is then an
+            array of shape S, and the result is d x C(d, m) x S.
 
     Raises:
         ValueError: On a missing free symbol, or a symbol supplied for a
@@ -171,7 +175,7 @@ def build_pre_injection(
         raise ValueError(f"missing file symbol {missing[0]}")
 
     cols = subsets_lex(d, m)
-    raw = np.zeros((d, len(cols)), dtype=np.int64)
+    raw = np.zeros((d, len(cols)) + stripes, dtype=np.int64)
     if m == 0:
         return raw
 
@@ -187,19 +191,19 @@ def build_pre_injection(
                 y_set = tuple(sorted(i_set + (x,)))
                 sym = SymbolId("w", x, y_set)
             if sym in free_set:
-                raw[x - 1, c] = int(symbols[sym])
+                raw[x - 1, c] = symbols[sym]
 
     # complete every parity member from the group it closes
     for c, i_set in enumerate(cols):
         for x in range(i_set[-1] + 1, d + 1):
             y_set = i_set + (x,)
             known = {
-                t: int(raw[t - 1, subset_rank(d, tuple(e for e in y_set if e != t))])
+                t: raw[t - 1, subset_rank(d, tuple(e for e in y_set if e != t))]
                 for t in i_set
             }
             raw[x - 1, c] = parity_value(field, y_set, known)
 
-    signs = field.signed_unit(np.asarray(spec.signature)).reshape(d, 1)
+    signs = field.signed_unit(np.asarray(spec.signature)).reshape((d,) + (1,) * (raw.ndim - 1))
     return np.asarray(field.mul(signs, raw), dtype=np.int64)
 
 
@@ -234,12 +238,13 @@ def det_repair_symbol(
     repair_space: NDArray[np.int64],
     i_set: Subset,
     sigma: tuple[int, ...],
-) -> int:
+):
     """Rebuild the coded symbol at column I from a repair space R = D Lambda.
 
     Returns sum_{i in I} (-1)^{sigma(i) + ind_I(i)} R_{i, I \\ {i}}, which for
     an un-injected determinant segment equals [psi_f . D]_I. The empty column
-    (mode 0) gives zero.
+    (mode 0) gives zero. A repair space with a trailing stripe axis gives one
+    symbol per stripe.
     """
     d = repair_space.shape[0]
     acc = np.int64(0)
@@ -247,7 +252,7 @@ def det_repair_symbol(
         j_set = tuple(e for e in i_set if e != i)
         sign = field.signed_unit(sigma[i - 1] + ind_count(i_set, i))
         acc = field.add(acc, field.mul(sign, repair_space[i - 1, subset_rank(d, j_set)]))
-    return int(acc)
+    return acc
 
 
 def det_data_recover(

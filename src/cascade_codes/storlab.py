@@ -8,6 +8,7 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -23,13 +24,20 @@ from .codec import (
     helper_repair_message,
     recover_data,
     regenerate_node,
-    semi_systematize,
     vandermonde_encoder,
 )
 from .combin import binomial
 from .detseg import repair_encoder
-from .fqlinalg import BinaryField, Field, PrimeField, is_prime, mat_rank
+from .fqlinalg import Field, field_for_order, is_prime, mat_mul, mat_rank
 from .params import code_params, params_implicit, t_sequence
+from .plans import (
+    CodeKey,
+    code_system,
+    encode_plan,
+    helper_plan,
+    recover_plan,
+    regenerate_plan,
+)
 
 SHARE_MAGIC = b"CSCD"
 SHARE_VERSION = 1
@@ -42,20 +50,6 @@ _MANIFEST_INTS = {"version", "n", "k", "d", "mu", "q", "alpha", "beta",
                   "file_symbols", "stripe_count", "pad_symbols", "semi_systematic"}
 
 
-def field_for_order(q: int) -> Field:
-    """Field of order q: prime orders and the tabulated binary orders.
-
-    Raises:
-        ValueError: For orders that are neither prime nor a supported power
-            of two.
-    """
-    if is_prime(q):
-        return PrimeField(q)
-    if q > 1 and q & (q - 1) == 0:
-        return BinaryField(q.bit_length() - 1)
-    raise ValueError(f"no supported field of order {q}")
-
-
 def default_cli_order(n: int) -> int:
     """Smallest prime field order that fits n nodes and arbitrary bytes."""
     q = max(n, 257)
@@ -64,14 +58,14 @@ def default_cli_order(n: int) -> int:
     return q
 
 
-def bytes_to_symbols(data: bytes, q: int) -> NDArray[np.int64]:
+def bytes_to_symbols(data: bytes, q: int) -> NDArray[np.uint8]:
     """One file byte per symbol; byte values must be valid field elements.
 
     Raises:
         ValueError: If a byte value reaches q (pick q >= 257 for arbitrary
             binary input).
     """
-    symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    symbols = np.frombuffer(data, dtype=np.uint8)
     if symbols.size and int(symbols.max()) >= q:
         offender = int(np.argmax(symbols >= q))
         raise ValueError(f"byte value {int(symbols[offender])} at offset {offender} "
@@ -102,17 +96,11 @@ def write_share_file(path: Path, n: int, k: int, d: int, mu: int, q: int,
         raise ValueError("n, k, d, mu, and node index must fit in one byte")
     if not 1 < q < 65536:
         raise ValueError("field order must fit in two bytes")
-    out = bytearray(SHARE_MAGIC)
-    out.append(SHARE_VERSION)
-    out += bytes((n, k, d, mu))
-    out += q.to_bytes(2, "big")
-    out.append(node)
-    arr = np.asarray(payload, dtype=np.int64)
+    header = SHARE_MAGIC + bytes((SHARE_VERSION, n, k, d, mu)) + q.to_bytes(2, "big")
+    arr = np.asarray(payload)
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
         raise ValueError("payload elements must lie in [0, q)")
-    for value in arr:
-        out += int(value).to_bytes(2, "big")
-    path.write_bytes(bytes(out))
+    path.write_bytes(header + bytes((node,)) + arr.astype(">u2").tobytes())
 
 
 def read_share_file(path: Path) -> tuple[dict[str, int], NDArray[np.int64]]:
@@ -122,7 +110,7 @@ def read_share_file(path: Path) -> tuple[dict[str, int], NDArray[np.int64]]:
         ValueError: On bad magic, version, or a malformed payload.
     """
     data = path.read_bytes()
-    if len(data) < 11 or data[:4] != SHARE_MAGIC:
+    if len(data) < 12 or data[:4] != SHARE_MAGIC:
         raise ValueError(f"{path} is not a share file")
     if data[4] != SHARE_VERSION:
         raise ValueError(f"unsupported share file version {data[4]}")
@@ -133,13 +121,17 @@ def read_share_file(path: Path) -> tuple[dict[str, int], NDArray[np.int64]]:
     body = data[12:]
     if len(body) % 2:
         raise ValueError(f"{path} has a truncated payload")
-    payload = np.array([int.from_bytes(body[2 * t:2 * t + 2], "big")
-                        for t in range(len(body) // 2)], dtype=np.int64)
+    payload = np.frombuffer(body, dtype=">u2").astype(np.int64)
     if payload.size and int(payload.max()) >= header["q"]:
         raise ValueError(f"{path} carries elements outside its field")
     return header, payload
 
 
+# cached so that each name stays alive: pathlib interns every name it joins,
+# and re-interning names freed after each call fills the interned-string
+# table with deleted slots until it is rebuilt, a 0.9 MiB transient that a
+# process doing a few hundred file operations otherwise hits
+@lru_cache(maxsize=256)
 def share_filename(node: int) -> str:
     return f"node{node:03d}.share"
 
@@ -245,7 +237,8 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
 
     The file is split into stripes of F symbols (one byte per symbol), the
     final stripe zero-padded, and each node's share concatenates its alpha
-    elements per stripe.
+    elements per stripe. All stripes are encoded by one product with the
+    compiled encode plan.
 
     Raises:
         ValueError: On invalid parameters, q < n, or bytes outside the field.
@@ -255,30 +248,24 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     params = code_params(k, d, mu)
     if n < d + 1:
         raise ValueError(f"need n > d, got n = {n} with d = {d}")
-    field = field_for_order(q)
-    if field.q < n:
+    if q < n:
         raise ValueError(f"field order {q} is smaller than n = {n}: "
                          "encoder rows would repeat evaluation points")
-    enc = vandermonde_encoder(field, n, d)
-    if semi_systematic:
-        enc = semi_systematize(enc, k)
+    key = CodeKey(q, n, k, d, mu, bool(semi_systematic))
+    field = code_system(key).field
 
     symbols = bytes_to_symbols(input_path.read_bytes(), q)
     f_size = params.file_size
-    stripes = -(-symbols.size // f_size) if symbols.size else 0
+    stripes = -(-symbols.size // f_size)
     pad = stripes * f_size - symbols.size
-    padded = np.concatenate([symbols, np.zeros(pad, dtype=np.int64)])
-
-    payloads = {i: [] for i in range(1, n + 1)}
-    for s in range(stripes):
-        sm = build_super_message(field, k, d, mu, padded[s * f_size:(s + 1) * f_size])
-        for share in encode(enc, sm):
-            payloads[share.index].append(share.payload)
+    rows = np.zeros((stripes, f_size), dtype=np.uint8)
+    rows.reshape(-1)[:symbols.size] = symbols
+    coded = mat_mul(field, rows, encode_plan(key))
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    alpha = params.alpha
     for i in range(1, n + 1):
-        payload = (np.concatenate(payloads[i]) if payloads[i]
-                   else np.zeros(0, dtype=np.int64))
+        payload = coded[:, (i - 1) * alpha:i * alpha].ravel()
         write_share_file(out_dir / share_filename(i), n, k, d, mu, q, i, payload)
     manifest = out_dir / "manifest.txt"
     write_manifest(manifest, {
@@ -291,14 +278,11 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     return manifest
 
 
-def _load_system(manifest_path: Path) -> tuple[dict[str, object], Field, EncoderMatrix, HierarchyTree]:
+def _load_system(manifest_path: Path) -> tuple[dict[str, object], CodeKey]:
     entries = read_manifest(manifest_path)
-    n, k, d, mu = (int(entries[key]) for key in ("n", "k", "d", "mu"))
-    field = field_for_order(int(entries["q"]))
-    enc = vandermonde_encoder(field, n, d)
-    if int(entries["semi_systematic"]):
-        enc = semi_systematize(enc, k)
-    return entries, field, enc, build_tree(k, d, mu)
+    key = CodeKey(*(int(entries[name]) for name in ("q", "n", "k", "d", "mu")),
+                  bool(int(entries["semi_systematic"])))
+    return entries, key
 
 
 def _read_cluster_share(shares_dir: Path, entries: dict[str, object], node: int,
@@ -319,17 +303,22 @@ def _read_cluster_share(shares_dir: Path, entries: dict[str, object], node: int,
 
 def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
                   helpers: Sequence[int]) -> tuple[Path, int]:
-    """Regenerate node `failed` stripe by stripe; returns (share path, symbols moved).
+    """Regenerate node `failed`; returns (share path, symbols moved).
 
-    Helper messages cross a real serialization boundary, so the reported
-    bandwidth is what the wire would carry: d * beta symbols per stripe.
+    Each helper computes its messages for all stripes with one product with
+    the compiled helper plan, and the failed node's payload is one product
+    of the received messages with the regenerate plan. Every message still
+    crosses a real serialization boundary, one message per helper and
+    stripe, and the reported bandwidth counts the symbols deserialized:
+    d * beta per stripe.
 
     Raises:
-        ValueError: On bad node indices or repeated helpers.
+        ValueError: On bad node indices, repeated helpers, or a message that
+            does not fit its helper and failed node.
     """
-    entries, field, enc, tree = _load_system(manifest_path)
+    entries, key = _load_system(manifest_path)
     n, d = int(entries["n"]), int(entries["d"])
-    alpha = int(entries["alpha"])
+    alpha, beta = int(entries["alpha"]), int(entries["beta"])
     stripes = int(entries["stripe_count"])
     if not 1 <= failed <= n:
         raise ValueError(f"failed node {failed} out of range 1..{n}")
@@ -338,18 +327,24 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     if failed in helpers:
         raise ValueError("the failed node cannot help itself")
     payloads = {h: _read_cluster_share(shares_dir, entries, h) for h in helpers}
+    system = code_system(key)
+    helper_map = helper_plan(key, failed)
 
-    rebuilt = []
+    received = np.empty((stripes, d * beta), dtype=system.field.dtype)
     moved = 0
-    for s in range(stripes):
-        messages = []
-        for h in helpers:
-            share = NodeShare(index=h, payload=payloads[h][s * alpha:(s + 1) * alpha])
-            wire = helper_repair_message(enc, tree, share, failed).to_bytes()
-            messages.append(RepairMessage.from_bytes(wire, d))
-        moved += sum(msg.total_symbols for msg in messages)
-        rebuilt.append(regenerate_node(enc, tree, failed, helpers, messages).payload)
-    payload = np.concatenate(rebuilt) if rebuilt else np.zeros(0, dtype=np.int64)
+    for j, h in enumerate(helpers):
+        share = NodeShare(index=h, payload=payloads[h].reshape(stripes, alpha).T)
+        batch = helper_repair_message(system.enc, system.tree, share, failed, helper_map)
+        for s in range(stripes):
+            sent = RepairMessage(failed, h, batch.modes, tuple(b[:, s] for b in batch.blocks))
+            message = RepairMessage.from_bytes(sent.to_bytes(), d)
+            if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
+                raise ValueError(f"message from node {message.helper} for node "
+                                 f"{message.failed} does not fit helper {h} repairing {failed}")
+            moved += message.total_symbols
+            received[s, j * beta:(j + 1) * beta] = np.concatenate(message.blocks)
+    rebuilt = mat_mul(system.field, received, regenerate_plan(key, failed, tuple(helpers)))
+    payload = rebuilt.ravel()
     out = shares_dir / share_filename(failed)
     write_share_file(out, n, int(entries["k"]), d, int(entries["mu"]),
                      int(entries["q"]), failed, payload)
@@ -360,10 +355,13 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
                  nodes: Sequence[int] | None = None) -> Path:
     """Rebuild the original file from any k shares and write it to out_path.
 
+    All stripes are decoded by one product with the compiled recover plan
+    of the chosen nodes, in the given order.
+
     Raises:
         ValueError: On missing shares, wrong count, or mixed parameters.
     """
-    entries, field, enc, tree = _load_system(manifest_path)
+    entries, key = _load_system(manifest_path)
     k = int(entries["k"])
     alpha = int(entries["alpha"])
     stripes = int(entries["stripe_count"])
@@ -376,14 +374,12 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
                 break
     if len(nodes) != k or len(set(nodes)) != k:
         raise ValueError(f"recovery needs exactly k = {k} distinct nodes")
-    payloads = {i: _read_cluster_share(shares_dir, entries, i) for i in nodes}
-
-    chunks = []
-    for s in range(stripes):
-        shares = [NodeShare(index=i, payload=payloads[i][s * alpha:(s + 1) * alpha])
-                  for i in nodes]
-        chunks.append(recover_data(enc, tree, list(nodes), shares))
-    symbols = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    field = code_system(key).field
+    observed = np.empty((stripes, k * alpha), dtype=field.dtype)
+    for j, i in enumerate(nodes):
+        observed[:, j * alpha:(j + 1) * alpha] = (
+            _read_cluster_share(shares_dir, entries, i).reshape(stripes, alpha))
+    symbols = mat_mul(field, observed, recover_plan(key, tuple(nodes))).ravel()
     pad = int(entries["pad_symbols"])
     if pad:
         symbols = symbols[:-pad]

@@ -110,6 +110,59 @@ def oracle_p_closed(w: int, m: int) -> int:
     return total
 
 
+def oracle_share_bytes(n: int, k: int, d: int, mu: int, q: int, node: int,
+                       payload: list[int]) -> bytes:
+    """Share file bytes written one element at a time: magic, version 1,
+    n, k, d, mu, q (2B BE), node, then every element as 2B big-endian."""
+    out = bytearray(b"CSCD")
+    out.append(1)
+    out += bytes((n, k, d, mu))
+    out += q.to_bytes(2, "big")
+    out.append(node)
+    for value in payload:
+        out += int(value).to_bytes(2, "big")
+    return bytes(out)
+
+
+def oracle_parse_share(data: bytes) -> tuple[dict[str, int], list[int]]:
+    """Header fields and elements of well-formed share file bytes."""
+    header = {"n": data[5], "k": data[6], "d": data[7], "mu": data[8],
+              "q": int.from_bytes(data[9:11], "big"), "node": data[11]}
+    body = data[12:]
+    return header, [int.from_bytes(body[2 * t:2 * t + 2], "big")
+                    for t in range(len(body) // 2)]
+
+
+def oracle_message_bytes(failed: int, helper: int, modes: list[int],
+                         blocks: list[list[int]]) -> bytes:
+    """Repair message bytes written one element at a time: failed, helper,
+    segment count (2B BE), then per segment its mode byte and its block."""
+    out = bytearray((failed, helper))
+    out += len(modes).to_bytes(2, "big")
+    for mode, block in zip(modes, blocks):
+        out.append(mode)
+        for value in block:
+            out += int(value).to_bytes(2, "big")
+    return bytes(out)
+
+
+def oracle_parse_message(data: bytes, d: int) -> tuple[int, int, list[int], list[list[int]]]:
+    """(failed, helper, modes, blocks) of well-formed repair message bytes;
+    a mode-m block holds C(d-1, m-1) elements."""
+    count = int.from_bytes(data[2:4], "big")
+    pos = 4
+    modes, blocks = [], []
+    for _ in range(count):
+        mode = data[pos]
+        pos += 1
+        width = oracle_binomial(d - 1, mode - 1)
+        blocks.append([int.from_bytes(data[pos + 2 * t:pos + 2 * t + 2], "big")
+                       for t in range(width)])
+        modes.append(mode)
+        pos += 2 * width
+    return data[0], data[1], modes, blocks
+
+
 if __name__ == "__main__":
     print("unrank(6,4,14) ->", oracle_subsets(6, 4)[14])
     print("subsets_lex(4,2) ->", oracle_subsets(4, 2))
