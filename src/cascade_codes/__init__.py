@@ -64,19 +64,23 @@ from .params import (
     special_points,
     t_sequence,
 )
-from .storlab import (
-    ClusterState,
-    encode_file,
-    main,
-    read_manifest,
-    read_share_file,
-    recover_file,
-    repair_shares,
-    run_verify,
-    share_filename,
-    write_manifest,
-    write_share_file,
-)
+
+# storlab's names load on first use, so that `python -m cascade_codes.storlab`
+# does not find its module already imported by the package and run it twice
+_STORLAB_NAMES = frozenset({
+    "ClusterState", "encode_file", "main", "read_manifest", "read_share_file",
+    "recover_file", "repair_shares", "run_verify", "share_filename",
+    "write_manifest", "write_share_file",
+})
+
+
+def __getattr__(name: str):
+    if name in _STORLAB_NAMES:
+        from . import storlab
+
+        return getattr(storlab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BinaryField", "ClusterState", "CodeParams", "EncoderMatrix", "Field",

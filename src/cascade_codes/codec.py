@@ -156,8 +156,10 @@ class RepairMessage:
     One block per segment in tree order; a mode-m block carries the
     C(d-1, m-1) coordinates of the helper's repair row in the deterministic
     pivot basis of the repair encoder, so mode-0 blocks are empty and the
-    total length is beta. Blocks may carry a trailing stripe axis, one
-    message per stripe; such a batch is split per stripe before the wire.
+    total length is beta. Blocks may carry a trailing stripe axis, shape
+    (width, stripes): by helper-independence one message then carries the
+    helper's symbols for every stripe of a file, and crosses the wire as
+    one message.
     """
 
     failed: int
@@ -171,7 +173,15 @@ class RepairMessage:
 
     def to_bytes(self) -> bytes:
         """Wire layout: failed, helper, segment count (2B BE), then per
-        segment its mode (1B) and its block as 2-byte big-endian elements."""
+        segment its mode (1B) and its block as 2-byte big-endian elements.
+
+        A (width, stripes) block is written row by row: element i of stripe
+        s sits at position i * stripes + s of the block. A 1-stripe message
+        is therefore byte-identical to the same message without the axis.
+
+        Raises:
+            ValueError: On an element outside [0, 65536).
+        """
         parts = [bytes((self.failed, self.helper)), len(self.modes).to_bytes(2, "big")]
         values = (np.concatenate(self.blocks, dtype=np.int64) if self.blocks
                   else np.zeros(0, dtype=np.int64))
@@ -181,41 +191,57 @@ class RepairMessage:
         pos = 0
         for mode, block in zip(self.modes, self.blocks):
             parts.append(bytes((mode,)))
-            parts.append(data[pos:pos + 2 * len(block)])
-            pos += 2 * len(block)
+            parts.append(data[pos:pos + 2 * np.size(block)])
+            pos += 2 * np.size(block)
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes, d: int) -> "RepairMessage":
+    def from_bytes(cls, data: bytes, d: int, stripes: int | None = None) -> "RepairMessage":
         """Parse the wire layout; d fixes each mode's block length.
 
+        Args:
+            stripes: The stripe count the message must carry; its blocks
+                then have shape (width, stripes). None parses one stripe
+                into 1-D blocks.
+
         Raises:
-            ValueError: On truncated or oversized input.
+            ValueError: On a mode above d, on input shorter or longer than
+                the layout for this stripe count, or on a negative count.
         """
+        per = 1 if stripes is None else stripes
+        if per < 0:
+            raise ValueError(f"stripe count {per} is negative")
         if len(data) < 4:
             raise ValueError("repair message shorter than its header")
         failed, helper = data[0], data[1]
         count = int.from_bytes(data[2:4], "big")
         pos = 4
         modes = []
+        widths = []
         spans = []
         for _ in range(count):
             if pos >= len(data):
                 raise ValueError("repair message truncated in a segment header")
             mode = data[pos]
             pos += 1
+            if mode > d:
+                raise ValueError(f"segment mode {mode} exceeds d = {d}")
             width = binomial(d - 1, mode - 1)
-            if pos + 2 * width > len(data):
+            size = 2 * width * per
+            if pos + size > len(data):
                 raise ValueError("repair message truncated in a segment block")
             modes.append(mode)
-            spans.append((pos, width))
-            pos += 2 * width
+            widths.append(width)
+            spans.append((pos, size))
+            pos += size
         if pos != len(data):
             raise ValueError("trailing bytes after the last segment block")
-        body = b"".join(data[start:start + 2 * width] for start, width in spans)
+        body = b"".join(data[start:start + size] for start, size in spans)
         values = np.frombuffer(body, dtype=">u2").astype(np.int64)
+        if stripes is not None:
+            values = values.reshape(sum(widths), stripes)
         return cls(failed=failed, helper=helper, modes=tuple(modes),
-                   blocks=split_blocks(values, [width for _, width in spans]))
+                   blocks=split_blocks(values, widths))
 
 
 def _repair_basis(

@@ -4,7 +4,7 @@
 
 from __future__ import annotations
 
-import argparse
+import os
 import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
@@ -100,7 +100,7 @@ def write_share_file(path: Path, n: int, k: int, d: int, mu: int, q: int,
     arr = np.asarray(payload)
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
         raise ValueError("payload elements must lie in [0, q)")
-    path.write_bytes(header + bytes((node,)) + arr.astype(">u2").tobytes())
+    _replace_atomically(path, header + bytes((node,)) + arr.astype(">u2").tobytes())
 
 
 def read_share_file(path: Path) -> tuple[dict[str, int], NDArray[np.int64]]:
@@ -136,13 +136,31 @@ def share_filename(node: int) -> str:
     return f"node{node:03d}.share"
 
 
+@lru_cache(maxsize=256)
+def _temp_name(name: str) -> str:
+    return f".{name}.tmp"
+
+
+def _replace_atomically(path: Path, data: bytes) -> None:
+    # write beside the target, then rename over it: a write that fails
+    # leaves the old file (or none) and no partial one. Not fsynced, so a
+    # power loss can still lose the new contents
+    tmp = path.with_name(_temp_name(path.name))
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_manifest(path: Path, entries: dict[str, object]) -> None:
     """Write the manifest with its fixed key order, one key per line."""
     missing = [key for key in MANIFEST_KEYS if key not in entries]
     if missing:
         raise ValueError(f"manifest is missing keys {missing}")
     lines = [f"{key} = {entries[key]}" for key in MANIFEST_KEYS]
-    path.write_text("\n".join(lines) + "\n")
+    _replace_atomically(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_manifest(path: Path) -> dict[str, object]:
@@ -305,12 +323,12 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
                   helpers: Sequence[int]) -> tuple[Path, int]:
     """Regenerate node `failed`; returns (share path, symbols moved).
 
-    Each helper computes its messages for all stripes with one product with
+    Each helper computes its message for all stripes with one product with
     the compiled helper plan, and the failed node's payload is one product
-    of the received messages with the regenerate plan. Every message still
-    crosses a real serialization boundary, one message per helper and
-    stripe, and the reported bandwidth counts the symbols deserialized:
-    d * beta per stripe.
+    of the received messages with the regenerate plan. Each helper's message
+    crosses a real serialization boundary once, carrying every stripe, and
+    the reported bandwidth counts the symbols deserialized: d * beta per
+    stripe.
 
     Raises:
         ValueError: On bad node indices, repeated helpers, or a message that
@@ -335,14 +353,12 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     for j, h in enumerate(helpers):
         share = NodeShare(index=h, payload=payloads[h].reshape(stripes, alpha).T)
         batch = helper_repair_message(system.enc, system.tree, share, failed, helper_map)
-        for s in range(stripes):
-            sent = RepairMessage(failed, h, batch.modes, tuple(b[:, s] for b in batch.blocks))
-            message = RepairMessage.from_bytes(sent.to_bytes(), d)
-            if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
-                raise ValueError(f"message from node {message.helper} for node "
-                                 f"{message.failed} does not fit helper {h} repairing {failed}")
-            moved += message.total_symbols
-            received[s, j * beta:(j + 1) * beta] = np.concatenate(message.blocks)
+        message = RepairMessage.from_bytes(batch.to_bytes(), d, stripes)
+        if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
+            raise ValueError(f"message from node {message.helper} for node "
+                             f"{message.failed} does not fit helper {h} repairing {failed}")
+        moved += message.total_symbols
+        received[:, j * beta:(j + 1) * beta] = np.concatenate(message.blocks).T
     rebuilt = mat_mul(system.field, received, regenerate_plan(key, failed, tuple(helpers)))
     payload = rebuilt.ravel()
     out = shares_dir / share_filename(failed)
@@ -491,6 +507,8 @@ def _parity_audit(field: Field, sm) -> bool:
 
 
 def _parse_nodes(text: str) -> list[int]:
+    import argparse
+
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -569,6 +587,9 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here so that library callers do not load argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cascade",
         description="Exact-repair regenerating codes across the storage-bandwidth "

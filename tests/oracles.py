@@ -163,6 +163,25 @@ def oracle_parse_message(data: bytes, d: int) -> tuple[int, int, list[int], list
     return data[0], data[1], modes, blocks
 
 
+def oracle_striped_message_bytes(failed: int, helper: int, modes: list[int], d: int,
+                                 stripe_blocks: list[list[list[int]]]) -> bytes:
+    """One repair message for several stripes, written one element at a time.
+
+    stripe_blocks[s][t] is the block that segment t would carry in stripe
+    s's own message. The header and the mode bytes are those of one
+    message; segment t's block then holds its element 0 for every stripe,
+    then its element 1 for every stripe, and so on.
+    """
+    out = bytearray((failed, helper))
+    out += len(modes).to_bytes(2, "big")
+    for t, mode in enumerate(modes):
+        out.append(mode)
+        for i in range(oracle_binomial(d - 1, mode - 1)):
+            for blocks in stripe_blocks:
+                out += int(blocks[t][i]).to_bytes(2, "big")
+    return bytes(out)
+
+
 if __name__ == "__main__":
     print("unrank(6,4,14) ->", oracle_subsets(6, 4)[14])
     print("subsets_lex(4,2) ->", oracle_subsets(4, 2))

@@ -1,11 +1,17 @@
 # Storage workflows: wire formats, manifests, the in-memory cluster,
 # file-level encode/repair/recover, the self-check suite, and the CLI
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cascade_codes import storlab
 from cascade_codes.cascade import build_tree
 from cascade_codes.codec import semi_systematize, vandermonde_encoder
 from cascade_codes.fqlinalg import BinaryField, PrimeField
@@ -225,6 +231,70 @@ def test_repair_rejects_foreign_share(tmp_path):
     (out / share_filename(2)).unlink()
     with pytest.raises(ValueError):
         repair_shares(manifest, out, 2, [1, 3, 4, 5])
+
+
+def test_repair_of_empty_file_moves_nothing(tmp_path):
+    src = tmp_path / "empty.bin"
+    src.write_bytes(b"")
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    lost = (out / share_filename(2)).read_bytes()
+    (out / share_filename(2)).unlink()
+    path, moved = repair_shares(manifest, out, 2, [1, 3, 4, 5])
+    assert moved == 0 and path.read_bytes() == lost
+
+
+def test_repair_rejects_message_from_another_helper(tmp_path, monkeypatch):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(100)))
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    real = storlab.helper_repair_message
+
+    def mislabelled(enc, tree, share, failed, plan=None):
+        message = real(enc, tree, share, failed, plan)
+        return dataclasses.replace(message, helper=6) if share.index == 4 else message
+
+    monkeypatch.setattr(storlab, "helper_repair_message", mislabelled)
+    with pytest.raises(ValueError, match="from node 6 .* helper 4"):
+        repair_shares(manifest, out, 2, [1, 3, 4, 5])
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, existing):
+    share, manifest = tmp_path / share_filename(1), tmp_path / "manifest.txt"
+    entries = {key: 1 for key in MANIFEST_KEYS}
+    if existing:
+        write_share_file(share, 6, 3, 4, 2, 7, 1, np.arange(7))
+        write_manifest(manifest, entries)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real = Path.write_bytes
+
+    def half_then_fail(self, data):
+        real(self, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError):
+        write_share_file(share, 6, 3, 4, 2, 7, 1, np.arange(7)[::-1])
+    with pytest.raises(OSError):
+        write_manifest(manifest, {**entries, "n": 2})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_cli_module_runs_once_and_library_skips_argparse():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    cli = subprocess.run([sys.executable, "-m", "cascade_codes.storlab", "params", "4", "6", "4"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert cli.returncode == 0 and cli.stderr == ""
+    probe = ("import sys, cascade_codes\n"
+             "assert 'cascade_codes.storlab' not in sys.modules\n"
+             "from cascade_codes import encode_file\n"
+             "assert 'argparse' not in sys.modules\n")
+    lib = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert lib.returncode == 0, lib.stderr
 
 
 def test_semi_systematic_file_round_trip(tmp_path):

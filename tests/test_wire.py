@@ -1,6 +1,7 @@
 # Share files and repair messages: the vectorized writers and readers
 # against the per-element oracles, byte for byte, and their ValueErrors
 
+import random
 import tempfile
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cascade_codes.cascade import build_tree
 from cascade_codes.codec import RepairMessage
 from cascade_codes.storlab import read_share_file, write_share_file
 
@@ -17,6 +19,7 @@ from oracles import (
     oracle_parse_message,
     oracle_parse_share,
     oracle_share_bytes,
+    oracle_striped_message_bytes,
 )
 
 
@@ -95,3 +98,62 @@ def test_repair_message_errors():
         msg = RepairMessage(failed=1, helper=2, modes=(1,), blocks=(np.array([value]),))
         with pytest.raises(ValueError):
             msg.to_bytes()
+
+
+@st.composite
+def striped_messages(draw):
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(k, 7))
+    mu = draw(st.integers(1, k))
+    modes = [spec.mode for spec in build_tree(k, d, mu).segments]
+    stripes = draw(st.sampled_from([0, 1, 2, 37]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
+    stripe_blocks = [[[rng.randrange(1 << 16) for _ in range(w)] for w in widths]
+                     for _ in range(stripes)]
+    return d, draw(st.integers(0, 255)), draw(st.integers(0, 255)), modes, stripe_blocks
+
+
+def _striped(failed, helper, modes, d, stripe_blocks):
+    # one message carrying every stripe, as (width, stripes) blocks
+    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
+    blocks = tuple(np.array([blocks[t] for blocks in stripe_blocks], dtype=np.int64)
+                   .reshape(len(stripe_blocks), w).T for t, w in enumerate(widths))
+    return RepairMessage(failed=failed, helper=helper, modes=tuple(modes), blocks=blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(striped_messages())
+def test_striped_repair_message_matches_oracle(case):
+    d, failed, helper, modes, stripe_blocks = case
+    stripes = len(stripe_blocks)
+    wire = _striped(failed, helper, modes, d, stripe_blocks).to_bytes()
+    assert wire == oracle_striped_message_bytes(failed, helper, modes, d, stripe_blocks)
+    back = RepairMessage.from_bytes(wire, d, stripes)
+    assert (back.failed, back.helper, list(back.modes)) == (failed, helper, modes)
+    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
+    assert [b.shape for b in back.blocks] == [(w, stripes) for w in widths]
+    for t, block in enumerate(back.blocks):
+        assert block.T.tolist() == [blocks[t] for blocks in stripe_blocks]
+    assert back.total_symbols == stripes * sum(widths)
+    if stripes == 1:  # one stripe is the per-stripe format, byte for byte
+        assert wire == oracle_message_bytes(failed, helper, modes, stripe_blocks[0])
+        assert [b.tolist() for b in RepairMessage.from_bytes(wire, d).blocks] == \
+            stripe_blocks[0]
+
+
+def test_striped_repair_message_errors():
+    stripe_blocks = [[[5, 6, 7], [], [9]], [[1, 2, 3], [], [4]]]
+    msg = _striped(1, 2, [2, 0, 1], 4, stripe_blocks)
+    wire = msg.to_bytes()
+    assert RepairMessage.from_bytes(wire, 4, 2).total_symbols == 8
+    for bad, stripes in ((wire[:-1], 2), (wire + b"\x00", 2), (wire, 1), (wire, 3),
+                         (wire, -1), (wire, 0)):
+        with pytest.raises(ValueError):
+            RepairMessage.from_bytes(bad, 4, stripes)
+    with pytest.raises(ValueError):
+        RepairMessage.from_bytes(wire, 4)
+    big = RepairMessage(failed=1, helper=2, modes=(1,),
+                        blocks=(np.array([[3, 1 << 16]], dtype=np.int64),))
+    with pytest.raises(ValueError):
+        big.to_bytes()
