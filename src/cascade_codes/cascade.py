@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .combin import Subset, ind_count, subset_rank, subsets_lex
+from .combin import Subset, binomial, ind_count, subset_rank, subsets_lex
 from .detseg import SegmentSpec, SymbolId, build_pre_injection, free_symbols
 from .fqlinalg import Field
 
@@ -142,6 +142,24 @@ def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
     )
 
 
+def injection_sign(field: Field, parent_sigma: Sequence[int], j_set: Subset, i: int):
+    """(-1)^{1 + sigma_P(i) + ind_J(i)}: the sign an injection from parent
+    column J carries into row i of the child; it is its own inverse."""
+    return field.signed_unit(1 + parent_sigma[i - 1] + ind_count(j_set, i))
+
+
+def injection_positions(d: int, mode: int, b: Subset) -> Iterator[tuple[int, Subset, int]]:
+    """(column, I, i) of every entry of a mode-m child with injection set B
+    that can host an injection: i > max I, i not in B, I disjoint from B."""
+    bset = set(b)
+    for c, i_set in enumerate(subsets_lex(d, mode)):
+        if bset.isdisjoint(i_set):
+            lowest = i_set[-1] + 1 if i_set else 1
+            for i in range(lowest, d + 1):
+                if i not in bset:
+                    yield c, i_set, i
+
+
 def injection_matrix(
     field: Field,
     parent_matrix: NDArray[np.int64],
@@ -150,28 +168,20 @@ def injection_matrix(
 ) -> NDArray[np.int64]:
     """Injection matrix Delta of the child reached from parent via (x, B).
 
-    Entry (i, I) equals (-1)^{1 + sigma_P(i) + ind_{I+{i}+B}(i)} times the
-    parent entry at (x, I+{i}+B) when i > max I, i not in B, and I and B are
-    disjoint; zero otherwise. The parent matrix may be pre- or post-injection
-    (the read positions never host an injection themselves), and may carry a
-    trailing stripe axis, which the result then shares.
+    Entry (i, I) at each :func:`injection_positions` position equals
+    :func:`injection_sign` of J = I+{i}+B times the parent entry at (x, J);
+    every other entry is zero. The parent matrix may be pre- or
+    post-injection (the read positions never host an injection themselves),
+    and may carry a trailing stripe axis, which the result then shares.
     """
     x, b = pair
-    bset = set(b)
     d = parent_spec.d
     m = child_mode(parent_spec.mode, b)
-    cols = subsets_lex(d, m)
-    delta = np.zeros((d, len(cols)) + parent_matrix.shape[2:], dtype=np.int64)
-    for c, i_set in enumerate(cols):
-        if bset & set(i_set):
-            continue
-        lowest = i_set[-1] + 1 if i_set else 1
-        for i in range(lowest, d + 1):
-            if i in bset:
-                continue
-            j_set = tuple(sorted(set(i_set) | {i} | bset))
-            sign = field.signed_unit(1 + parent_spec.signature[i - 1] + ind_count(j_set, i))
-            delta[i - 1, c] = field.mul(sign, parent_matrix[x - 1, subset_rank(d, j_set)])
+    delta = np.zeros((d, binomial(d, m)) + parent_matrix.shape[2:], dtype=np.int64)
+    for c, i_set, i in injection_positions(d, m, b):
+        j_set = tuple(sorted(i_set + (i,) + tuple(b)))
+        sign = injection_sign(field, parent_spec.signature, j_set, i)
+        delta[i - 1, c] = field.mul(sign, parent_matrix[x - 1, subset_rank(d, j_set)])
     return delta
 
 
@@ -185,17 +195,12 @@ def segment_offsets(tree: HierarchyTree) -> tuple[tuple[int, ...], int]:
     return tuple(offsets), total
 
 
-def file_symbol_layout(k: int, d: int, mu: int) -> list[tuple[int, SymbolId]]:
+def layout_from_tree(tree: HierarchyTree) -> list[tuple[int, SymbolId]]:
     """Deterministic order of all free file symbols across the tree.
 
     Segments in tree order, symbols within a segment in the canonical
     free-symbol order; the list length is the file size F.
     """
-    return layout_from_tree(build_tree(k, d, mu))
-
-
-def layout_from_tree(tree: HierarchyTree) -> list[tuple[int, SymbolId]]:
-    """file_symbol_layout against an already-built tree."""
     out = []
     for spec in tree.segments:
         for sym in free_symbols(tree.k, tree.d, spec.mode):
@@ -215,19 +220,12 @@ class SuperMessage:
     field: Field
     pre_matrices: tuple[NDArray[np.int64], ...]
     post_matrices: tuple[NDArray[np.int64], ...]
-    column_offsets: tuple[int, ...]
     alpha: int
 
     @property
     def matrix(self) -> NDArray[np.int64]:
         """M: side-by-side concatenation of post-injection segments, d x alpha."""
         return np.hstack(self.post_matrices)
-
-    def segment_columns(self, sid: int) -> tuple[int, int]:
-        """Half-open column range of segment sid inside M."""
-        start = self.column_offsets[sid]
-        stop = self.column_offsets[sid + 1] if sid + 1 < len(self.column_offsets) else self.alpha
-        return start, stop
 
 
 def build_super_message(
@@ -247,7 +245,7 @@ def build_super_message(
         field: Field the symbols live in.
         k, d, mu: Code parameters, 1 <= mu <= k <= d.
         file_symbols: Exactly F field elements, ordered per
-            file_symbol_layout; an F x S array encodes S stripes at once,
+            layout_from_tree; an F x S array encodes S stripes at once,
             and every matrix then carries that trailing stripe axis.
 
     Raises:
@@ -270,12 +268,10 @@ def build_super_message(
         delta = injection_matrix(field, pre[spec.parent_id], tree.segment(spec.parent_id),
                                  spec.injection_pair)
         post.append(np.asarray(field.add(pre[spec.segment_id], delta), dtype=np.int64))
-    offsets, alpha = segment_offsets(tree)
     return SuperMessage(
         tree=tree,
         field=field,
         pre_matrices=tuple(pre),
         post_matrices=tuple(post),
-        column_offsets=offsets,
-        alpha=alpha,
+        alpha=segment_offsets(tree)[1],
     )

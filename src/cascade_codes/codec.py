@@ -16,16 +16,19 @@ from .cascade import (
     HierarchyTree,
     SuperMessage,
     build_super_message,
+    injection_positions,
+    injection_sign,
     layout_from_tree,
     segment_offsets,
 )
-from .combin import binomial, ind_count, subset_rank, subsets_lex
+from .combin import binomial, subset_rank, subsets_lex
 from .detseg import (
     D_GROUP,
     N_GROUP,
     SegmentSpec,
     classify_entry,
     det_repair_symbol,
+    parity_entry,
     repair_encoder,
 )
 from .fqlinalg import Field, column_basis, mat_inverse, mat_mul, mat_rank, solve_exact
@@ -389,32 +392,17 @@ def extract_injection(
 ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
     """Split a decoded post-injection segment fS into (eS, Delta).
 
-    Every position that can host an injection (row i > max I with i outside
-    B and I disjoint from B) is recomputed from the parity equation of its
-    group, whose other members never host injections; the difference is the
-    injection matrix. The root splits into (fS, 0). A trailing stripe axis
-    passes through.
+    Every position that can host an injection (see
+    :func:`cascade.injection_positions`) is recomputed from the parity
+    equation of its group, whose other members never host injections; the
+    difference is the injection matrix. The root splits into (fS, 0). A
+    trailing stripe axis passes through.
     """
     if spec.is_root:
         return f_mat.copy(), np.zeros_like(f_mat)
-    _, b = spec.injection_pair
-    bset = set(b)
-    d, m = spec.d, spec.mode
     e_mat = f_mat.copy()
-    for c, i_set in enumerate(subsets_lex(d, m)):
-        if bset & set(i_set):
-            continue
-        lowest = i_set[-1] + 1 if i_set else 1
-        for i in range(lowest, d + 1):
-            if i in bset:
-                continue
-            y_full = i_set + (i,)
-            acc = np.int64(0)
-            for t in i_set:
-                src = subset_rank(d, tuple(e for e in y_full if e != t))
-                sign = field.signed_unit(spec.signature[t - 1] + ind_count(y_full, t))
-                acc = field.add(acc, field.mul(sign, f_mat[t - 1, src]))
-            e_mat[i - 1, c] = field.mul(field.signed_unit(spec.signature[i - 1] + m), acc)
+    for c, i_set, i in injection_positions(spec.d, spec.mode, spec.injection_pair[1]):
+        e_mat[i - 1, c] = parity_entry(field, spec.signature, f_mat, i_set, i)
     delta = np.asarray(field.sub(f_mat, e_mat), dtype=np.int64)
     return e_mat, delta
 
@@ -500,7 +488,7 @@ def recover_data(
 
 def _bottom_entry(field, tree, spec, i_set, x, mat, injections):
     # one bottom-row entry of fS at (x, I), by group dispatch
-    k, d, m = spec.k, spec.d, spec.mode
+    k = spec.k
     group = classify_entry(x, i_set, k)
     if group == N_GROUP:
         return np.int64(0)
@@ -510,13 +498,7 @@ def _bottom_entry(field, tree, spec, i_set, x, mat, injections):
         child = tree.child_with_pair(spec.segment_id, (x, b))
         return _primary_symbol(field, spec.signature, a, b, injections[child])
     # parity entry: rebuild from the group, then add the injected symbol
-    y_full = i_set + (x,)
-    acc = np.int64(0)
-    for t in i_set:
-        src = subset_rank(d, tuple(e for e in y_full if e != t))
-        sign = field.signed_unit(spec.signature[t - 1] + ind_count(y_full, t))
-        acc = field.add(acc, field.mul(sign, mat[t - 1, src]))
-    value = field.mul(field.signed_unit(spec.signature[x - 1] + m), acc)
+    value = parity_entry(field, spec.signature, mat, i_set, x)
     if spec.is_root:
         return value
     y, b_own = spec.injection_pair
@@ -531,7 +513,7 @@ def _bottom_entry(field, tree, spec, i_set, x, mat, injections):
     sibling = tree.child_with_pair(parent.segment_id, (y, b_full))
     source = _primary_symbol(field, parent.signature, a, b_full, injections[sibling])
     j_set = tuple(sorted(set(i_set) | {x} | set(b_own)))
-    sign = field.signed_unit(1 + parent.signature[x - 1] + ind_count(j_set, x))
+    sign = injection_sign(field, parent.signature, j_set, x)
     return field.add(value, field.mul(sign, source))
 
 
@@ -541,7 +523,7 @@ def _primary_symbol(field, parent_sigma, a, b, delta):
     d = delta.shape[0]
     mx = a[-1]
     merged = tuple(sorted(set(a) | set(b)))
-    sign = field.signed_unit(1 + parent_sigma[mx - 1] + ind_count(merged, mx))
+    sign = injection_sign(field, parent_sigma, merged, mx)
     col = subset_rank(d, a[:-1])
     return field.mul(sign, delta[mx - 1, col])
 

@@ -55,25 +55,14 @@ def subsets_lex(d: int, m: int) -> list[Subset]:
     return list(combinations(range(1, d + 1), m))
 
 
-def validate_subset(d: int, s: Subset) -> Subset:
-    """Check that ``s`` is strictly increasing with elements in [1..d]."""
-    s = tuple(s)
-    if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-        raise ValueError(f"subset {s} is not strictly increasing")
-    if s and (s[0] < 1 or s[-1] > d):
-        raise ValueError(f"subset {s} has elements outside [1..{d}]")
-    return s
-
-
 @lru_cache(maxsize=1 << 12)
 def subset_rank(d: int, s: Subset) -> int:
-    """Position of ``s`` within subsets_lex(d, len(s)).
+    """Position of the sorted tuple ``s`` within subsets_lex(d, len(s)).
 
-    Inverse of :func:`subset_unrank`; counts, for each member, the subsets
-    that branch off below it with a smaller element at that position.
-    Cached: the segment code asks for the same few ranks many times.
+    Counts, for each member, the subsets that branch off below it with a
+    smaller element at that position. Cached: the segment code asks for the
+    same few ranks many times.
     """
-    s = validate_subset(d, s)
     m = len(s)
     rank = 0
     prev = 0
@@ -82,31 +71,6 @@ def subset_rank(d: int, s: Subset) -> int:
             rank += binomial(d - c, m - i - 1)
         prev = elem
     return rank
-
-
-def subset_unrank(d: int, m: int, rank: int) -> Subset:
-    """The rank-th element of subsets_lex(d, m), without enumerating.
-
-    Raises:
-        ValueError: If rank is outside [0, C(d,m)).
-    """
-    total = binomial(d, m)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range for C({d},{m})={total}")
-    out = []
-    prev = 0
-    remaining = rank
-    for i in range(m):
-        c = prev + 1
-        while True:
-            block = binomial(d - c, m - i - 1)
-            if remaining < block:
-                break
-            remaining -= block
-            c += 1
-        out.append(c)
-        prev = c
-    return tuple(out)
 
 
 def ind_count(s: Iterable[int], x: int | float) -> int:

@@ -5,13 +5,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .combin import Subset, binomial, ind_count, set_max, subset_rank, subsets_lex
-from .fqlinalg import Field, mat_inverse, mat_mul
+from .fqlinalg import Field
+# unused here, but bound so that perfbench/spans.py, which rebinds mat_mul by
+# name in this module and in codec, finds it
+from .fqlinalg import mat_mul  # noqa: F401
 
 # entry classes of a message matrix (Def. of the three bottom-row groups,
 # plus the upper rows that sit above the split)
@@ -110,31 +113,30 @@ def free_symbol_count(k: int, d: int, mode: int) -> int:
     return mode * (binomial(d + 1, mode + 1) - binomial(d - k + 1, mode + 1))
 
 
-def parity_value(field: Field, y_set: Subset, known: Mapping[int, int]):
-    """The parity member w_{max Y, Y} completing one w-group.
+def parity_entry(field: Field, sigma: Sequence[int], mat: NDArray, i_set: Subset, x: int):
+    """Entry (x, I) of a signed segment, x > max I, from the rest of its group.
 
-    Solves the alternating parity equation
-    sum_{y in Y} (-1)^{ind_Y(y)} w_{y,Y} = 0 for the largest member.
+    The w-group Y = I + {x} satisfies the alternating parity equation
+    sum_{y in Y} (-1)^{ind_Y(y)} w_{y,Y} = 0, and entry (y, Y - {y}) holds
+    (-1)^{sigma(y)} w_{y,Y}. So the entry at (x, I) follows from the
+    entries (t, Y - {t}), t in I, none of which is a parity position.
 
     Args:
         field: Field the symbols live in.
-        y_set: The group label Y, |Y| = m + 1.
-        known: w_{y,Y} for every y in Y except max Y; each a field element,
-            or an array of them along a trailing stripe axis.
-
-    Raises:
-        ValueError: If a non-max member is missing.
+        sigma: Row signature of ``mat``; all zeros for an unsigned matrix.
+        mat: d x C(d, |I|) segment matrix, optionally with a trailing stripe
+            axis, which the result then carries.
+        i_set: Column label I.
+        x: Row of the entry, above max I.
     """
-    if not y_set:
-        raise ValueError("empty parity group")
-    head, mx = y_set[:-1], y_set[-1]
-    missing = [y for y in head if y not in known]
-    if missing:
-        raise ValueError(f"missing parity-group members {missing} for Y={y_set}")
+    d = mat.shape[0]
+    y_set = i_set + (x,)
     acc = np.int64(0)
-    for y in head:
-        acc = field.add(acc, field.mul(field.signed_unit(ind_count(y_set, y)), known[y]))
-    return field.mul(field.signed_unit(ind_count(y_set, mx) + 1), acc)
+    for t in i_set:
+        src = subset_rank(d, tuple(e for e in y_set if e != t))
+        sign = field.signed_unit(sigma[t - 1] + ind_count(y_set, t))
+        acc = field.add(acc, field.mul(sign, mat[t - 1, src]))
+    return field.mul(field.signed_unit(sigma[x - 1] + len(i_set)), acc)
 
 
 def build_pre_injection(
@@ -194,14 +196,10 @@ def build_pre_injection(
                 raw[x - 1, c] = symbols[sym]
 
     # complete every parity member from the group it closes
+    unsigned = (0,) * d
     for c, i_set in enumerate(cols):
         for x in range(i_set[-1] + 1, d + 1):
-            y_set = i_set + (x,)
-            known = {
-                t: raw[t - 1, subset_rank(d, tuple(e for e in y_set if e != t))]
-                for t in i_set
-            }
-            raw[x - 1, c] = parity_value(field, y_set, known)
+            raw[x - 1, c] = parity_entry(field, unsigned, raw, i_set, x)
 
     signs = field.signed_unit(np.asarray(spec.signature)).reshape((d,) + (1,) * (raw.ndim - 1))
     return np.asarray(field.mul(signs, raw), dtype=np.int64)
@@ -253,15 +251,3 @@ def det_repair_symbol(
         sign = field.signed_unit(sigma[i - 1] + ind_count(i_set, i))
         acc = field.add(acc, field.mul(sign, repair_space[i - 1, subset_rank(d, j_set)]))
     return acc
-
-
-def det_data_recover(
-    field: Field,
-    psi_rows: NDArray[np.int64],
-    codewords: NDArray[np.int64],
-) -> NDArray[np.int64]:
-    """Invert d = k observed codeword rows back into the message matrix."""
-    psi_rows = np.asarray(psi_rows, dtype=np.int64)
-    if psi_rows.shape[0] != psi_rows.shape[1]:
-        raise ValueError("data recovery by inversion needs exactly d = k rows")
-    return mat_mul(field, mat_inverse(field, psi_rows), codewords)

@@ -37,18 +37,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def default_field_order(n: int) -> int:
-    """Smallest prime >= max(n, 5).
-
-    Large enough for n distinct encoder points, and odd so that signs stay
-    nontrivial (characteristic 2 would hide sign bugs).
-    """
-    q = max(n, 5)
-    while not is_prime(q):
-        q += 1
-    return q
-
-
 def _narrowest_dtype(q: int) -> np.dtype:
     return np.dtype(np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int64)
 
@@ -72,10 +60,6 @@ class PrimeField:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
-
-    def array(self, data) -> NDArray[np.int64]:
-        """Coerce to an int64 array reduced mod p."""
-        return np.asarray(data, dtype=np.int64) % self.q
 
     def add(self, a, b):
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.q
@@ -169,12 +153,6 @@ class BinaryField:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BinaryField) and other.s == self.s
 
-    def array(self, data) -> NDArray[np.int64]:
-        arr = np.asarray(data, dtype=np.int64)
-        if np.any((arr < 0) | (arr >= self.q)):
-            raise ValueError(f"values out of range for GF({self.q})")
-        return arr
-
     def add(self, a, b):
         return np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)
 
@@ -230,19 +208,6 @@ def field_for_order(q: int) -> Field:
     if q > 1 and q & (q - 1) == 0:
         return BinaryField(q.bit_length() - 1)
     raise ValueError(f"no supported field of order {q}")
-
-
-def field_arith(field: Field, a, b, op: str):
-    """Scalar or elementwise arithmetic dispatch: op in {add, sub, mul, div}."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def mat_mul(field: Field, a: NDArray, b: NDArray) -> NDArray:

@@ -332,7 +332,8 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
 
     Raises:
         ValueError: On bad node indices, repeated helpers, or a message that
-            does not fit its helper and failed node.
+            does not fit its helper and failed node or holds a symbol
+            outside the field.
     """
     entries, key = _load_system(manifest_path)
     n, d = int(entries["n"]), int(entries["d"])
@@ -357,8 +358,12 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
         if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
             raise ValueError(f"message from node {message.helper} for node "
                              f"{message.failed} does not fit helper {h} repairing {failed}")
+        symbols = np.concatenate(message.blocks)
+        if (symbols >= system.field.q).any():
+            raise ValueError(f"message from helper {h} holds a symbol outside "
+                             f"GF({system.field.q})")
         moved += message.total_symbols
-        received[:, j * beta:(j + 1) * beta] = np.concatenate(message.blocks).T
+        received[:, j * beta:(j + 1) * beta] = symbols.T
     rebuilt = mat_mul(system.field, received, regenerate_plan(key, failed, tuple(helpers)))
     payload = rebuilt.ravel()
     out = shares_dir / share_filename(failed)

@@ -12,7 +12,6 @@ from cascade_codes.cascade import (
     child_mode,
     child_signature,
     enumerate_injection_pairs,
-    file_symbol_layout,
     injection_matrix,
     layout_from_tree,
     segment_offsets,
@@ -188,11 +187,11 @@ def test_segment_offsets_cover_alpha():
 
 
 def test_file_symbol_layout_sizes():
-    assert len(file_symbol_layout(4, 6, 4)) == 324
+    assert len(layout_from_tree(build_tree(4, 6, 4))) == 324
     for k in range(1, 6):
         for d in range(k, 7):
-            assert len(file_symbol_layout(k, d, 1)) == k * (2 * d - k + 1) // 2
-    layout = file_symbol_layout(3, 5, 2)
+            assert len(layout_from_tree(build_tree(k, d, 1))) == k * (2 * d - k + 1) // 2
+    layout = layout_from_tree(build_tree(3, 5, 2))
     assert len(set(layout)) == len(layout)
     for sid, sym in layout:
         assert sym in free_symbols(3, 5, build_tree(3, 5, 2).segment(sid).mode)
@@ -213,11 +212,11 @@ def test_build_super_message_segment_columns():
     rng = random.Random(21)
     data = [rng.randrange(7) for _ in range(324)]
     sm = build_super_message(field, 4, 6, 4, data)
-    offsets, _ = segment_offsets(sm.tree)
+    offsets, alpha = segment_offsets(sm.tree)
+    assert alpha == sm.alpha
     for sid in range(len(sm.tree)):
-        start, stop = sm.segment_columns(sid)
-        width = binomial(6, sm.tree.segment(sid).mode)
-        assert (start, stop) == (offsets[sid], offsets[sid] + width)
+        start = offsets[sid]
+        stop = start + binomial(6, sm.tree.segment(sid).mode)
         assert np.array_equal(sm.matrix[:, start:stop], sm.post_matrices[sid])
 
 

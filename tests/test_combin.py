@@ -10,9 +10,7 @@ from cascade_codes.combin import (
     ind_count,
     set_max,
     subset_rank,
-    subset_unrank,
     subsets_lex,
-    validate_subset,
 )
 
 from oracles import oracle_binomial, oracle_subsets
@@ -61,32 +59,6 @@ def test_rank_unrank_round_trip_exhaustive():
         for m in range(0, d + 1):
             for rank, subset in enumerate(subsets_lex(d, m)):
                 assert subset_rank(d, subset) == rank
-                assert subset_unrank(d, m, rank) == subset
-
-
-def test_unrank_known_value():
-    assert subset_unrank(6, 4, 14) == (3, 4, 5, 6)
-    assert subset_rank(6, (3, 4, 5, 6)) == 14
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        subset_unrank(4, 2, 6)
-    with pytest.raises(ValueError):
-        subset_unrank(4, 2, -1)
-
-
-def test_validate_subset():
-    validate_subset(5, (1, 3, 5))
-    validate_subset(5, ())
-    with pytest.raises(ValueError):
-        validate_subset(5, (0, 1))
-    with pytest.raises(ValueError):
-        validate_subset(5, (2, 6))
-    with pytest.raises(ValueError):
-        validate_subset(5, (3, 2))
-    with pytest.raises(ValueError):
-        validate_subset(5, (2, 2))
 
 
 def test_ind_count():

@@ -16,11 +16,10 @@ from cascade_codes.detseg import (
     SymbolId,
     build_pre_injection,
     classify_entry,
-    det_data_recover,
     det_repair_symbol,
     free_symbol_count,
     free_symbols,
-    parity_value,
+    parity_entry,
     repair_encoder,
 )
 from cascade_codes.fqlinalg import PrimeField, mat_mul, mat_rank
@@ -97,15 +96,21 @@ def test_free_symbol_count_formula():
 
 
 def test_parity_value_examples():
+    # w_{max Y, Y} from the other members w_{t, Y}, stored at (t, Y - {t})
     field = PrimeField(7)
-    assert parity_value(field, (5, 6), {5: 3}) == 3
-    assert parity_value(field, (1, 2, 3), {1: 0, 2: 0}) == 0
+    unsigned = (0,) * 6
+    mat = np.zeros((6, 6), dtype=np.int64)
+    mat[5 - 1, subset_rank(6, (6,))] = 3
+    assert parity_entry(field, unsigned, mat, (5,), 6) == 3
+    mat = np.zeros((3, 3), dtype=np.int64)
+    assert parity_entry(field, unsigned[:3], mat, (1, 2), 3) == 0
     a, b = 2, 6
-    assert parity_value(field, (1, 2, 3), {1: a, 2: b}) == (b - a) % 7
-    with pytest.raises(ValueError):
-        parity_value(field, (1, 2, 3), {1: a})
-    with pytest.raises(ValueError):
-        parity_value(field, (), {})
+    mat[1 - 1, subset_rank(3, (2, 3))] = a
+    mat[2 - 1, subset_rank(3, (1, 3))] = b
+    assert parity_entry(field, unsigned[:3], mat, (1, 2), 3) == (b - a) % 7
+    # a signed matrix holds (-1)^sigma(t) w_{t, Y}, the result included
+    mat[1 - 1, subset_rank(3, (2, 3))] = -a % 7
+    assert parity_entry(field, (1, 0, 1), mat, (1, 2), 3) == (a - b) % 7
 
 
 def test_parity_groups_sum_to_zero():
@@ -251,27 +256,3 @@ def test_det_repair_symbol_matches_encoding():
     zero_space = np.zeros((d, binomial(d, m - 1)), dtype=np.int64)
     assert det_repair_symbol(field, zero_space, (1, 2), (0,) * d) == 0
 
-
-def test_det_data_recover_round_trip():
-    field = PrimeField(7)
-    d = 4
-    _, spec, _, mat = _segment(4, 4, 2, seed=1)
-    assert np.array_equal(det_data_recover(field, np.eye(d, dtype=np.int64), mat), mat)
-    psi = np.array([[pow(x, e, 7) for e in range(d)] for x in range(d)], dtype=np.int64)
-    codewords = mat_mul(field, psi, mat)
-    assert np.array_equal(det_data_recover(field, psi, codewords), mat)
-    with pytest.raises(ValueError):
-        det_data_recover(field, psi[:3], codewords[:3])
-
-
-def test_det_data_recover_any_row_subset():
-    import itertools
-
-    field = PrimeField(7)
-    d, n = 4, 6
-    _, spec, _, mat = _segment(4, 4, 2, seed=4)
-    psi = np.array([[pow(x, e, 7) for e in range(d)] for x in range(n)], dtype=np.int64)
-    codewords = mat_mul(field, psi, mat)
-    for rows in itertools.combinations(range(n), d):
-        got = det_data_recover(field, psi[list(rows)], codewords[list(rows)])
-        assert np.array_equal(got, mat)

@@ -10,8 +10,6 @@ from cascade_codes.fqlinalg import (
     BinaryField,
     PrimeField,
     column_basis,
-    default_field_order,
-    field_arith,
     is_prime,
     mat_inverse,
     mat_mul,
@@ -31,14 +29,6 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert is_prime(257)
     assert not is_prime(65535)
-
-
-def test_default_field_order():
-    assert default_field_order(1) == 5
-    assert default_field_order(5) == 5
-    assert default_field_order(6) == 7
-    assert default_field_order(8) == 11
-    assert default_field_order(258) == 263
 
 
 def test_prime_field_rejects_composite():
@@ -71,16 +61,6 @@ def test_prime_field_signed_unit():
     assert int(field.signed_unit(-1)) == 10
     arr = field.signed_unit(np.arange(6))
     assert list(arr) == [1, 10, 1, 10, 1, 10]
-
-
-def test_field_arith_dispatch():
-    field = PrimeField(5)
-    assert int(field_arith(field, 3, 4, "add")) == 2
-    assert int(field_arith(field, 3, 4, "sub")) == 4
-    assert int(field_arith(field, 3, 4, "mul")) == 2
-    assert int(field_arith(field, 3, 4, "div")) == 2
-    with pytest.raises(ValueError):
-        field_arith(field, 1, 1, "pow")
 
 
 def test_binary_field_tables():

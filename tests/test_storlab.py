@@ -260,6 +260,30 @@ def test_repair_rejects_message_from_another_helper(tmp_path, monkeypatch):
         repair_shares(manifest, out, 2, [1, 3, 4, 5])
 
 
+@pytest.mark.parametrize("q", [256, 257])
+def test_repair_rejects_symbol_outside_the_field(tmp_path, monkeypatch, q):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(100)))
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=q)
+    (out / share_filename(2)).unlink()
+    before = sorted(p.name for p in out.iterdir())
+    real = storlab.helper_repair_message
+
+    def out_of_field(enc, tree, share, failed, plan=None):
+        message = real(enc, tree, share, failed, plan)
+        if share.index != 4:
+            return message
+        first = message.blocks[0].astype(np.int64)
+        first[0, 0] = 300
+        return dataclasses.replace(message, blocks=(first,) + message.blocks[1:])
+
+    monkeypatch.setattr(storlab, "helper_repair_message", out_of_field)
+    with pytest.raises(ValueError, match=f"helper 4 .* GF\\({q}\\)"):
+        repair_shares(manifest, out, 2, [1, 3, 4, 5])
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, existing):
     share, manifest = tmp_path / share_filename(1), tmp_path / "manifest.txt"
@@ -291,7 +315,9 @@ def test_cli_module_runs_once_and_library_skips_argparse():
     probe = ("import sys, cascade_codes\n"
              "assert 'cascade_codes.storlab' not in sys.modules\n"
              "from cascade_codes import encode_file\n"
-             "assert 'argparse' not in sys.modules\n")
+             "assert 'argparse' not in sys.modules\n"
+             "from cascade_codes import *\n"
+             "assert all(name in globals() for name in cascade_codes.__all__)\n")
     lib = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
     assert lib.returncode == 0, lib.stderr
