@@ -30,8 +30,10 @@ from .detseg import (
     det_repair_symbol,
     parity_entry,
     repair_encoder,
+    symbol_position,
 )
-from .fqlinalg import Field, column_basis, mat_inverse, mat_mul, mat_rank, solve_exact
+from . import fqlinalg
+from .fqlinalg import Field, mat_inverse, mat_mul, mat_rank
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,16 @@ class RepairMessage:
 
 def _repair_basis(
     field: Field,
-    lam: NDArray[np.int64],
-) -> tuple[tuple[int, ...], NDArray[np.int64]]:
-    # pivot columns of Lambda plus the change of basis T with
-    # Lambda = Lambda[:, pivots] . T; both ends derive this independently
-    _, pivots = column_basis(field, lam)
-    t = solve_exact(field, lam[:, list(pivots)], lam)
-    return pivots, t
+    psi_row: NDArray[np.int64],
+    spec: SegmentSpec,
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    # the segment's repair encoder Lambda toward the failed row, split as
+    # Lambda = Lambda[:, P] . T over its pivot columns P: the nonzero rows of
+    # rref(Lambda) are T. Both ends derive this independently. rref is looked
+    # up in fqlinalg at call time, so a tracer that rebinds it there sees it
+    lam = repair_encoder(field, psi_row, spec.signature, spec.mode)
+    reduced, pivots = fqlinalg.rref(field, lam)
+    return lam[:, pivots], reduced[:len(pivots)]
 
 
 def message_widths(tree: HierarchyTree) -> tuple[int, ...]:
@@ -294,28 +299,20 @@ def helper_repair_message(
     if share.index == failed:
         raise ValueError("a node cannot help repair itself")
     field = enc.field
-    d = tree.d
     offsets, alpha = segment_offsets(tree)
     if len(share.payload) != alpha:
         raise ValueError(f"share payload must have {alpha} elements")
     modes = tuple(spec.mode for spec in tree.segments)
     if plan is not None:
-        rows = share.payload.reshape(alpha, math.prod(share.payload.shape[1:])).T
-        coded = mat_mul(field, rows, plan).T.reshape((plan.shape[1],) + share.payload.shape[1:])
+        coded = _apply(field, plan.T, share.payload)
         return RepairMessage(failed=failed, helper=share.index, modes=modes,
                              blocks=split_blocks(coded, message_widths(tree)))
     blocks = []
     for spec in tree.segments:
-        m = spec.mode
-        if m == 0:
-            blocks.append(np.zeros((0,) + share.payload.shape[1:], dtype=np.int64))
-            continue
         start = offsets[spec.segment_id]
-        slice_ = share.payload[start:start + binomial(d, m)]
-        lam = repair_encoder(field, enc.row(failed), spec.signature, m)
-        full = _apply(field, lam.T, slice_)
-        pivots, _ = _repair_basis(field, lam)
-        blocks.append(full[list(pivots)])
+        slice_ = share.payload[start:start + binomial(tree.d, spec.mode)]
+        basis, _ = _repair_basis(field, enc.row(failed), spec)
+        blocks.append(_apply(field, basis.T, slice_))
     return RepairMessage(failed=failed, helper=share.index, modes=modes, blocks=tuple(blocks))
 
 
@@ -356,12 +353,7 @@ def regenerate_node(
 
     spaces: list[NDArray[np.int64]] = []
     for spec in tree.segments:
-        m = spec.mode
-        if m == 0:
-            spaces.append(np.zeros((d, 0) + stripes, dtype=np.int64))
-            continue
-        lam = repair_encoder(field, enc.row(failed), spec.signature, m)
-        _, t = _repair_basis(field, lam)
+        _, t = _repair_basis(field, enc.row(failed), spec)
         stacked = np.stack([
             _apply(field, t.T, np.asarray(msg.blocks[spec.segment_id]))
             for msg in messages
@@ -476,13 +468,8 @@ def recover_data(
     layout = layout_from_tree(tree)
     out = np.zeros((len(layout),) + stripes, dtype=np.int64)
     for pos, (sid, sym) in enumerate(layout):
-        spec = tree.segment(sid)
-        if sym.kind == "v":
-            col = subset_rank(d, sym.index_set)
-        else:
-            col = subset_rank(d, tuple(e for e in sym.index_set if e != sym.x))
-        sign = field.signed_unit(spec.signature[sym.x - 1])
-        out[pos] = field.mul(sign, extracted[sid][sym.x - 1, col])
+        sign = field.signed_unit(tree.segment(sid).signature[sym.x - 1])
+        out[pos] = field.mul(sign, extracted[sid][symbol_position(d, sym)])
     return out
 
 

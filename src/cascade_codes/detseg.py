@@ -113,6 +113,16 @@ def free_symbol_count(k: int, d: int, mode: int) -> int:
     return mode * (binomial(d + 1, mode + 1) - binomial(d - k + 1, mode + 1))
 
 
+def symbol_position(d: int, sym: SymbolId) -> tuple[int, int]:
+    """(row, column) of a free symbol in its segment's d-row matrix.
+
+    v_{x,X} sits at (x - 1, rank X) and w_{x,Y} at (x - 1, rank(Y - {x})).
+    """
+    if sym.kind == "v":
+        return sym.x - 1, subset_rank(d, sym.index_set)
+    return sym.x - 1, subset_rank(d, tuple(e for e in sym.index_set if e != sym.x))
+
+
 def parity_entry(field: Field, sigma: Sequence[int], mat: NDArray, i_set: Subset, x: int):
     """Entry (x, I) of a signed segment, x > max I, from the rest of its group.
 
@@ -182,18 +192,8 @@ def build_pre_injection(
         return raw
 
     # place the free symbols; nulled positions stay zero
-    for c, i_set in enumerate(cols):
-        members = set(i_set)
-        for x in range(1, d + 1):
-            if x in members:
-                sym = SymbolId("v", x, i_set)
-            elif x > i_set[-1]:
-                continue  # parity position, completed below
-            else:
-                y_set = tuple(sorted(i_set + (x,)))
-                sym = SymbolId("w", x, y_set)
-            if sym in free_set:
-                raw[x - 1, c] = symbols[sym]
+    for sym, value in symbols.items():
+        raw[symbol_position(d, sym)] = value
 
     # complete every parity member from the group it closes
     unsigned = (0,) * d

@@ -279,22 +279,6 @@ def mat_rank(field: Field, mat: NDArray[np.int64]) -> int:
     return len(rref(field, mat)[1])
 
 
-def column_basis(field: Field, mat: NDArray[np.int64]) -> tuple[int, tuple[int, ...]]:
-    """Rank and pivot column indices of ``mat``.
-
-    The pivot columns are determined by the deterministic elimination in
-    :func:`rref` (columns scanned in label order), so any two parties running
-    this on the same matrix select the same basis.
-
-    Returns:
-        (rank, pivot column indices in ascending order).
-    """
-    if mat.size == 0:
-        return 0, ()
-    _, pivots = rref(field, mat)
-    return len(pivots), tuple(pivots)
-
-
 def mat_inverse(field: Field, mat: NDArray[np.int64]) -> NDArray[np.int64]:
     """Inverse of a square matrix over the field.
 
@@ -312,26 +296,3 @@ def mat_inverse(field: Field, mat: NDArray[np.int64]) -> NDArray[np.int64]:
         raise ValueError("matrix is singular over GF(q)")
     return reduced[:, n:]
 
-
-def solve_exact(field: Field, a: NDArray[np.int64], b: NDArray[np.int64]) -> NDArray[np.int64]:
-    """Solve a @ x = b exactly, for a consistent system with full column rank.
-
-    Used to express arbitrary columns of a matrix in terms of a chosen pivot
-    basis; both sides of a repair exchange derive the same solution because
-    :func:`rref` is deterministic.
-
-    Raises:
-        ValueError: If the system is inconsistent or the solution is not unique.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ncols = a.shape[1]
-    reduced, pivots = rref(field, np.concatenate([a, b], axis=1))
-    if any(p >= ncols for p in pivots):
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise ValueError("solution is not unique (rank-deficient left side)")
-    # full column rank puts the pivots exactly on columns 0..ncols-1
-    return reduced[:ncols, ncols:]

@@ -266,9 +266,6 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     params = code_params(k, d, mu)
     if n < d + 1:
         raise ValueError(f"need n > d, got n = {n} with d = {d}")
-    if q < n:
-        raise ValueError(f"field order {q} is smaller than n = {n}: "
-                         "encoder rows would repeat evaluation points")
     key = CodeKey(q, n, k, d, mu, bool(semi_systematic))
     field = code_system(key).field
 
@@ -297,9 +294,28 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
 
 
 def _load_system(manifest_path: Path) -> tuple[dict[str, object], CodeKey]:
+    # every field the operations rely on must agree with the code the
+    # manifest names; a corrupt one would otherwise yield a wrong file
     entries = read_manifest(manifest_path)
+    for name, want in (("format", "cascade-shares"), ("version", 1),
+                       ("encoder", "vandermonde")):
+        if entries[name] != want:
+            raise ValueError(f"manifest {name} is {entries[name]!r}, expected {want!r}")
     key = CodeKey(*(int(entries[name]) for name in ("q", "n", "k", "d", "mu")),
                   bool(int(entries["semi_systematic"])))
+    params = code_system(key).params
+    for name in ("alpha", "beta"):
+        if entries[name] != getattr(params, name):
+            raise ValueError(f"manifest {name} = {entries[name]} does not match "
+                             f"{getattr(params, name)} at (k, d, mu) = {key[2:5]}")
+    f_size = params.file_size
+    stripes = -(-entries["file_symbols"] // f_size)
+    if entries["stripe_count"] != stripes:
+        raise ValueError(f"manifest stripe_count = {entries['stripe_count']} does not match "
+                         f"file_symbols = {entries['file_symbols']} in stripes of F = {f_size}")
+    if entries["pad_symbols"] != stripes * f_size - entries["file_symbols"]:
+        raise ValueError(f"manifest pad_symbols = {entries['pad_symbols']} does not match "
+                         f"file_symbols = {entries['file_symbols']} in stripes of F = {f_size}")
     return entries, key
 
 
@@ -337,7 +353,6 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     """
     entries, key = _load_system(manifest_path)
     n, d = int(entries["n"]), int(entries["d"])
-    alpha, beta = int(entries["alpha"]), int(entries["beta"])
     stripes = int(entries["stripe_count"])
     if not 1 <= failed <= n:
         raise ValueError(f"failed node {failed} out of range 1..{n}")
@@ -347,6 +362,7 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
         raise ValueError("the failed node cannot help itself")
     payloads = {h: _read_cluster_share(shares_dir, entries, h) for h in helpers}
     system = code_system(key)
+    alpha, beta = system.params.alpha, system.params.beta
     helper_map = helper_plan(key, failed)
 
     received = np.empty((stripes, d * beta), dtype=system.field.dtype)
@@ -383,8 +399,8 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
         ValueError: On missing shares, wrong count, or mixed parameters.
     """
     entries, key = _load_system(manifest_path)
-    k = int(entries["k"])
-    alpha = int(entries["alpha"])
+    system = code_system(key)
+    k, alpha = key.k, system.params.alpha
     stripes = int(entries["stripe_count"])
     if nodes is None:
         nodes = []
@@ -395,7 +411,7 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
                 break
     if len(nodes) != k or len(set(nodes)) != k:
         raise ValueError(f"recovery needs exactly k = {k} distinct nodes")
-    field = code_system(key).field
+    field = system.field
     observed = np.empty((stripes, k * alpha), dtype=field.dtype)
     for j, i in enumerate(nodes):
         observed[:, j * alpha:(j + 1) * alpha] = (
@@ -413,15 +429,15 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
     """Run the invariant suite at one parameter point; returns (name, ok, detail) rows.
 
     Raises:
-        ValueError: Outside desk-scale bounds (n <= 8, d <= 6) or q < n.
+        ValueError: Outside desk-scale bounds (n <= 8, d <= 6), for n <= d
+            (no helper set would exist) or q < n.
     """
     import itertools
 
     if n > 8 or d > 6:
         raise ValueError(f"verify is desk-scale only (n <= 8, d <= 6), got n={n}, d={d}")
-    if q < n:
-        raise ValueError(f"field order {q} cannot seat {n} distinct encoder rows; "
-                         f"need q >= {n}")
+    if n < d + 1:
+        raise ValueError(f"need n > d, got n = {n} with d = {d}")
     rng = random.Random(seed)
     field = field_for_order(q)
     params = code_params(k, d, mu)

@@ -6,11 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cascade_codes.cascade import build_super_message, build_tree
 from cascade_codes.codec import (
     NodeShare,
     RepairMessage,
+    _repair_basis,
     encode,
     encoder_conditions_hold,
     extract_injection,
@@ -22,7 +24,8 @@ from cascade_codes.codec import (
     vandermonde_encoder,
 )
 from cascade_codes.combin import binomial
-from cascade_codes.fqlinalg import PrimeField, mat_mul, mat_rank
+from cascade_codes.detseg import repair_encoder
+from cascade_codes.fqlinalg import PrimeField, field_for_order, mat_mul, mat_rank
 from cascade_codes.params import code_params, overlap_dimension_formula
 
 
@@ -271,3 +274,27 @@ def test_binary_field_round_trip():
     assert np.array_equal(rebuilt.payload, shares[1].payload)
     got = recover_data(enc, tree, [4, 5, 6], shares[3:])
     assert list(got) == data
+
+
+POINTS = [(k, d, mu) for d in range(1, 8) for k in range(1, min(d, 5) + 1)
+          for mu in range(1, k + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POINTS), st.sampled_from([13, 257, 256]))
+def test_repair_basis_splits_the_repair_encoder(point, q):
+    # Lambda = Lambda[:, P] . T with T[:, P] = I and |P| = C(d-1, m-1), for
+    # every segment and every failed node
+    k, d, mu = point
+    field = field_for_order(q)
+    enc = vandermonde_encoder(field, d + 1, d)
+    for failed in range(1, d + 2):
+        for spec in build_tree(k, d, mu).segments:
+            lam = repair_encoder(field, enc.row(failed), spec.signature, spec.mode)
+            basis, t = _repair_basis(field, enc.row(failed), spec)
+            pivots = [int(np.flatnonzero(row)[0]) for row in t]
+            assert len(pivots) == binomial(d - 1, spec.mode - 1)
+            assert pivots == sorted(set(pivots))
+            assert np.array_equal(t[:, pivots], np.eye(len(pivots)))
+            assert np.array_equal(basis, lam[:, pivots])
+            assert np.array_equal(mat_mul(field, basis, t), lam)

@@ -1,11 +1,14 @@
 # Signed determinant segments: entry classification, free symbols, parity
 # completion, nulling, and the repair/decode primitives
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cascade_codes.cascade import build_tree
 from cascade_codes.combin import binomial, subset_rank, subsets_lex
 from cascade_codes.detseg import (
     D_GROUP,
@@ -21,8 +24,9 @@ from cascade_codes.detseg import (
     free_symbols,
     parity_entry,
     repair_encoder,
+    symbol_position,
 )
-from cascade_codes.fqlinalg import PrimeField, mat_mul, mat_rank
+from cascade_codes.fqlinalg import PrimeField, field_for_order, mat_mul, mat_rank
 
 
 def _segment(k, d, mode, sigma=None, seed=0):
@@ -174,6 +178,32 @@ def test_build_nulls_bottom_only_entries():
     assert int(mat[5, subset_rank(6, (5,))]) == 0
     assert int(mat[4, subset_rank(6, (5,))]) == 0
     assert int(mat[5, subset_rank(6, (6,))]) == 0
+
+
+POINTS = [(k, d, mu) for d in range(1, 8) for k in range(1, min(d, 5) + 1)
+          for mu in range(1, k + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POINTS), st.sampled_from([13, 257, 256]))
+def test_build_places_each_free_symbol_at_its_position(point, q):
+    # free symbol j gets unit vector e_j along a stripe axis, so the entry at
+    # its position must be e_j exactly: nothing else lands there
+    k, d, mu = point
+    field = field_for_order(q)
+    for spec in build_tree(k, d, mu).segments:
+        unsigned = dataclasses.replace(spec, signature=(0,) * d)
+        free = free_symbols(k, d, spec.mode)
+        units = np.eye(len(free), dtype=np.int64)
+        mat = build_pre_injection(field, unsigned, dict(zip(free, units)), (len(free),))
+        positions = [symbol_position(d, sym) for sym in free]
+        assert len(set(positions)) == len(free)
+        cols = subsets_lex(d, spec.mode)
+        for sym, unit, (row, col) in zip(free, units, positions):
+            i_set = cols[col]
+            assert row == sym.x - 1
+            assert sym.index_set == (i_set if sym.kind == "v" else tuple(sorted(i_set + (sym.x,))))
+            assert np.array_equal(mat[row, col], unit)
 
 
 def test_build_rejects_bad_symbol_sets():

@@ -9,13 +9,11 @@ import pytest
 from cascade_codes.fqlinalg import (
     BinaryField,
     PrimeField,
-    column_basis,
     is_prime,
     mat_inverse,
     mat_mul,
     mat_rank,
     rref,
-    solve_exact,
 )
 
 from oracles import oracle_mat_mul, oracle_rank
@@ -166,43 +164,3 @@ def test_mat_inverse_errors():
     with pytest.raises(ValueError):
         mat_inverse(field, np.zeros((3, 3), dtype=np.int64))
 
-
-def test_column_basis_pivots():
-    field = PrimeField(7)
-    a = np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64)
-    rank, pivots = column_basis(field, a)
-    assert rank == 1
-    assert pivots == (0,)
-    empty = np.zeros((3, 0), dtype=np.int64)
-    assert column_basis(field, empty) == (0, ())
-
-
-def test_solve_exact_unique_solution():
-    rng = random.Random(9)
-    field = PrimeField(13)
-    for _ in range(10):
-        a = np.array([[rng.randrange(13) for _ in range(3)] for _ in range(3)])
-        if mat_rank(field, a) < 3:
-            continue
-        x = np.array([[rng.randrange(13)] for _ in range(3)])
-        b = mat_mul(field, a, x)
-        assert np.array_equal(solve_exact(field, a, b), x)
-
-
-def test_solve_exact_overdetermined_consistent():
-    field = PrimeField(7)
-    a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
-    x = np.array([[3], [4]], dtype=np.int64)
-    b = mat_mul(field, a, x)
-    assert np.array_equal(solve_exact(field, a, b), x)
-
-
-def test_solve_exact_errors():
-    field = PrimeField(7)
-    a = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)
-    bad = np.array([[1], [1], [0]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        solve_exact(field, a, bad)
-    wide = np.array([[1, 2, 3]], dtype=np.int64)
-    with pytest.raises(ValueError):
-        solve_exact(field, wide, np.array([[1]], dtype=np.int64))

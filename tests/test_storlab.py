@@ -219,6 +219,30 @@ def test_encode_file_parameter_errors(tmp_path):
         encode_file(src, tmp_path / "o2", 6, 3, 4, 2, q=5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("format", "other"), ("version", 9), ("encoder", "cauchy"),
+    ("alpha", 8), ("beta", 4), ("file_symbols", 999),
+    ("stripe_count", 51), ("pad_symbols", 2),
+])
+def test_corrupt_manifest_field_is_named(tmp_path, name, value):
+    # at (6,3,4,2) a 1000-byte file is 50 full stripes: alpha 7, beta 3
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(250)) * 4)
+    out = tmp_path / "shares"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    entries = read_manifest(manifest)
+    assert entries[name] != value
+    write_manifest(manifest, {**entries, name: value})
+    restored = tmp_path / "restored.bin"
+    with pytest.raises(ValueError, match=f"manifest {name}|{name} ="):
+        recover_file(manifest, restored, out)
+    assert not restored.exists()
+    (out / share_filename(2)).unlink()
+    with pytest.raises(ValueError, match=f"manifest {name}|{name} ="):
+        repair_shares(manifest, out, 2, [1, 3, 4, 5])
+    assert not (out / share_filename(2)).exists()
+
+
 def test_repair_rejects_foreign_share(tmp_path):
     src = tmp_path / "a.bin"
     src.write_bytes(bytes(100))
@@ -354,6 +378,16 @@ def test_run_verify_bounds():
         run_verify(3, 4, 2, 6, 5)
     with pytest.raises(ValueError):
         run_verify(3, 7, 2, 8, 11)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_verify_rejects_n_not_above_d(capsys, exhaustive):
+    # n = d leaves no helper set: the sweep must not pass with 0 cases
+    with pytest.raises(ValueError, match="n = 4 with d = 4"):
+        run_verify(3, 4, 2, 4, 7, exhaustive=exhaustive)
+    argv = ["verify", "3", "4", "2", "4", "7"] + ["--exhaustive"] * exhaustive
+    assert main(argv) == 2
+    assert "n = 4 with d = 4" in capsys.readouterr().err
 
 
 def test_cli_params(capsys):
