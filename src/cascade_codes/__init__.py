@@ -28,9 +28,9 @@ from .params import CodeParams, code_params, special_points
 # storlab's names load on first use, so that `python -m cascade_codes.storlab`
 # does not find its module already imported by the package and run it twice
 _STORLAB_NAMES = frozenset({
-    "ClusterState", "encode_file", "main", "read_manifest", "read_share_file",
-    "recover_file", "repair_shares", "run_verify", "share_filename",
-    "write_manifest", "write_share_file",
+    "encode_file", "main", "read_manifest", "read_share_file", "recover_file",
+    "repair_shares", "run_verify", "share_filename", "write_manifest",
+    "write_share_file",
 })
 
 
@@ -43,12 +43,12 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BinaryField", "ClusterState", "CodeParams", "EncoderMatrix", "Field",
-    "HierarchyTree", "NodeShare", "PrimeField", "RepairMessage", "SuperMessage",
-    "build_super_message", "build_tree", "code_params", "encode", "encode_file",
-    "field_for_order", "helper_repair_message", "main", "read_manifest",
-    "read_share_file", "recover_data", "recover_file", "regenerate_node",
-    "repair_shares", "run_verify", "segment_offsets", "semi_systematize",
-    "share_filename", "special_points", "vandermonde_encoder", "write_manifest",
-    "write_share_file",
+    "BinaryField", "CodeParams", "EncoderMatrix", "Field", "HierarchyTree",
+    "NodeShare", "PrimeField", "RepairMessage", "SuperMessage",
+    "build_super_message", "build_tree", "code_params", "encode",
+    "encode_file", "field_for_order", "helper_repair_message", "main",
+    "read_manifest", "read_share_file", "recover_data", "recover_file",
+    "regenerate_node", "repair_shares", "run_verify", "segment_offsets",
+    "semi_systematize", "share_filename", "special_points",
+    "vandermonde_encoder", "write_manifest", "write_share_file",
 ]

@@ -534,28 +534,19 @@ def repair_overlap_dim(
     if len({helper, failed_a, failed_b}) != 3:
         raise ValueError("helper and the two failed nodes must be distinct")
     field = enc.field
-    k, d, mu = tree.k, tree.d, tree.mu
-    layout = layout_from_tree(tree)
-    lambdas = {}
+    unit_files = np.eye(len(layout_from_tree(tree)), dtype=np.int64)
+    sm = build_super_message(field, tree.k, tree.d, tree.mu, unit_files)
+    # column j of the helper's coded row is its codeword for unit file j
+    coded = _apply(field, enc.row(helper)[None, :], sm.matrix)[0]
+    offsets, _ = segment_offsets(tree)
+    spans = []
     for target in (failed_a, failed_b):
-        lambdas[target] = [
-            repair_encoder(field, enc.row(target), spec.signature, spec.mode)
-            for spec in tree.segments
-        ]
-    rows_a = []
-    rows_b = []
-    for j in range(len(layout)):
-        unit = np.zeros(len(layout), dtype=np.int64)
-        unit[j] = 1
-        sm = build_super_message(field, k, d, mu, unit)
-        for rows, target in ((rows_a, failed_a), (rows_b, failed_b)):
-            parts = [
-                mat_mul(field,
-                        mat_mul(field, enc.row(helper)[None, :], sm.post_matrices[sid]),
-                        lambdas[target][sid])[0]
-                for sid in range(len(tree))
-            ]
-            rows.append(np.concatenate(parts))
-    a = np.vstack(rows_a)
-    b = np.vstack(rows_b)
+        parts = []
+        for spec in tree.segments:
+            start = offsets[spec.segment_id]
+            slice_ = coded[start:start + binomial(tree.d, spec.mode)]
+            lam = repair_encoder(field, enc.row(target), spec.signature, spec.mode)
+            parts.append(mat_mul(field, slice_.T, lam))
+        spans.append(np.hstack(parts))
+    a, b = spans
     return mat_rank(field, a) + mat_rank(field, b) - mat_rank(field, np.hstack([a, b]))

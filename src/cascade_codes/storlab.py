@@ -1,13 +1,12 @@
-# Desk-scale storage laboratory: share files on disk, an in-memory cluster,
-# and a CLI driving encode / repair / recover / verify cycles plus
-# trade-off reporting
+# Desk-scale storage laboratory: a share directory (n share files plus a
+# manifest) is the cluster, and a CLI drives encode / repair / recover /
+# verify cycles on it plus trade-off reporting
 
 from __future__ import annotations
 
 import os
 import random
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -15,9 +14,8 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascade import HierarchyTree, build_super_message, build_tree
+from .cascade import build_super_message, build_tree
 from .codec import (
-    EncoderMatrix,
     NodeShare,
     RepairMessage,
     encode,
@@ -167,7 +165,8 @@ def read_manifest(path: Path) -> dict[str, object]:
     """Parse a manifest back into a dict, integer-typing the numeric keys.
 
     Raises:
-        ValueError: On unknown structure or missing keys.
+        ValueError: On unknown structure, missing keys, or a non-integer
+            value of a numeric key (naming the key).
     """
     entries: dict[str, object] = {}
     for line in path.read_text().splitlines():
@@ -176,77 +175,16 @@ def read_manifest(path: Path) -> dict[str, object]:
         key, sep, value = line.partition(" = ")
         if not sep or key not in MANIFEST_KEYS:
             raise ValueError(f"unexpected manifest line {line!r}")
-        entries[key] = int(value) if key in _MANIFEST_INTS else value
+        if key in _MANIFEST_INTS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"manifest {key} = {value!r} is not an integer") from None
+        entries[key] = value
     missing = [key for key in MANIFEST_KEYS if key not in entries]
     if missing:
         raise ValueError(f"manifest is missing keys {missing}")
     return entries
-
-
-@dataclass
-class ClusterState:
-    """An in-memory cluster of n nodes holding one encoded stripe each.
-
-    Shares map node index to its NodeShare, or None once the node has
-    failed; every repair event appends its transferred symbol count to the
-    bandwidth ledger.
-    """
-
-    n: int
-    k: int
-    d: int
-    mu: int
-    field: Field
-    enc: EncoderMatrix
-    tree: HierarchyTree
-    shares: dict[int, NodeShare | None]
-    bandwidth_log: list[int] = dataclass_field(default_factory=list)
-
-    @classmethod
-    def create(cls, field: Field, enc: EncoderMatrix, tree: HierarchyTree,
-               file_symbols: Sequence[int]) -> "ClusterState":
-        sm = build_super_message(field, tree.k, tree.d, tree.mu, file_symbols)
-        shares = encode(enc, sm)
-        return cls(n=enc.n, k=tree.k, d=tree.d, mu=tree.mu, field=field,
-                   enc=enc, tree=tree,
-                   shares={share.index: share for share in shares})
-
-    def live_nodes(self) -> list[int]:
-        return [i for i, share in sorted(self.shares.items()) if share is not None]
-
-    def fail_node(self, node: int) -> None:
-        if self.shares.get(node) is None:
-            raise ValueError(f"node {node} is not live")
-        self.shares[node] = None
-
-    def repair_node(self, node: int, helpers: Sequence[int] | None = None) -> int:
-        """Regenerate a failed node from d live helpers; returns symbols moved.
-
-        Raises:
-            ValueError: If the node is live, or fewer than d live helpers
-                exist (more than n - d concurrent failures).
-        """
-        if self.shares.get(node) is not None:
-            raise ValueError(f"node {node} has not failed")
-        if helpers is None:
-            helpers = [i for i in self.live_nodes() if i != node][:self.d]
-        if len(helpers) != self.d:
-            raise ValueError(f"need d = {self.d} live helpers")
-        messages = [helper_repair_message(self.enc, self.tree, self.shares[h], node)
-                    for h in helpers]
-        moved = sum(msg.total_symbols for msg in messages)
-        self.shares[node] = regenerate_node(self.enc, self.tree, node, helpers, messages)
-        self.bandwidth_log.append(moved)
-        return moved
-
-    def recover(self, nodes: Sequence[int] | None = None) -> NDArray[np.int64]:
-        """Recover the file symbols from any k live nodes."""
-        if nodes is None:
-            nodes = self.live_nodes()[:self.k]
-        shares = [self.shares[i] for i in nodes]
-        if any(share is None for share in shares):
-            raise ValueError("recovery needs live nodes")
-        return recover_data(self.enc, self.tree, list(nodes), shares)
 
 
 def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int,
@@ -319,6 +257,13 @@ def _load_system(manifest_path: Path) -> tuple[dict[str, object], CodeKey]:
     return entries, key
 
 
+def _check_range(role: str, nodes: Sequence[int], n: int) -> None:
+    # a node index outside 1..n would otherwise surface as a missing file
+    for node in nodes:
+        if not 1 <= node <= n:
+            raise ValueError(f"{role} {node} out of range 1..{n}")
+
+
 def _read_cluster_share(shares_dir: Path, entries: dict[str, object], node: int,
                         ) -> NDArray[np.int64]:
     header, payload = read_share_file(shares_dir / share_filename(node))
@@ -354,8 +299,8 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     entries, key = _load_system(manifest_path)
     n, d = int(entries["n"]), int(entries["d"])
     stripes = int(entries["stripe_count"])
-    if not 1 <= failed <= n:
-        raise ValueError(f"failed node {failed} out of range 1..{n}")
+    _check_range("failed node", [failed], n)
+    _check_range("helper", helpers, n)
     if len(helpers) != d or len(set(helpers)) != d:
         raise ValueError(f"need d = {d} distinct helpers")
     if failed in helpers:
@@ -396,7 +341,8 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
     of the chosen nodes, in the given order.
 
     Raises:
-        ValueError: On missing shares, wrong count, or mixed parameters.
+        ValueError: On a node index outside 1..n, other than k distinct
+            nodes, or a share that disagrees with the manifest.
     """
     entries, key = _load_system(manifest_path)
     system = code_system(key)
@@ -409,6 +355,7 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
                 nodes.append(i)
             if len(nodes) == k:
                 break
+    _check_range("observer", nodes, int(entries["n"]))
     if len(nodes) != k or len(set(nodes)) != k:
         raise ValueError(f"recovery needs exactly k = {k} distinct nodes")
     field = system.field

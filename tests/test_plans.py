@@ -136,17 +136,27 @@ def test_cache_keys_keep_field_order_and_encoder_apart(tmp_path):
 
 
 def test_every_failed_node_repairs(tmp_path):
+    # each round deletes its shares together, then regenerates them in turn
+    # from d live nodes only: first every node alone, then n - d = 3 nodes
+    # down at once, where the later repairs lean on the earlier ones. The
+    # file then recovers from repaired nodes alone
     data = bytes(range(200))
     src = tmp_path / "input.bin"
     src.write_bytes(data)
-    out = tmp_path / "shares"
-    manifest = encode_file(src, out, 7, 3, 4, 3, q=257)
-    for failed in range(1, 8):
-        lost = (out / share_filename(failed)).read_bytes()
-        (out / share_filename(failed)).unlink()
-        helpers = [h for h in range(7, 0, -1) if h != failed][:4]
-        repair_shares(manifest, out, failed, helpers)
-        assert (out / share_filename(failed)).read_bytes() == lost
+    for case, rounds in enumerate(([[f] for f in range(1, 8)], [[7, 5, 1]])):
+        out = tmp_path / f"shares{case}"
+        manifest = encode_file(src, out, 7, 3, 4, 3, q=257)
+        for lost_nodes in rounds:
+            lost = {f: (out / share_filename(f)).read_bytes() for f in lost_nodes}
+            for failed in lost_nodes:
+                (out / share_filename(failed)).unlink()
+            for failed in lost_nodes:
+                live = [h for h in range(7, 0, -1) if (out / share_filename(h)).exists()]
+                repair_shares(manifest, out, failed, live[:4])
+                assert (out / share_filename(failed)).read_bytes() == lost[failed]
+        back = tmp_path / "back.bin"
+        recover_file(manifest, back, out, nodes=[1, 5, 7])
+        assert back.read_bytes() == data
 
 
 def test_plans_are_narrow_and_read_only():

@@ -1,5 +1,5 @@
-# Storage workflows: wire formats, manifests, the in-memory cluster,
-# file-level encode/repair/recover, the self-check suite, and the CLI
+# Storage workflows: wire formats, manifests, file-level encode/repair/recover
+# on a share directory, the self-check suite, and the CLI
 
 import dataclasses
 import os
@@ -12,12 +12,9 @@ import numpy as np
 import pytest
 
 from cascade_codes import storlab
-from cascade_codes.cascade import build_tree
-from cascade_codes.codec import semi_systematize, vandermonde_encoder
 from cascade_codes.fqlinalg import BinaryField, PrimeField
 from cascade_codes.params import code_params
 from cascade_codes.storlab import (
-    ClusterState,
     MANIFEST_KEYS,
     SHARE_MAGIC,
     bytes_to_symbols,
@@ -116,50 +113,6 @@ def test_manifest_round_trip(tmp_path):
         read_manifest(path)
 
 
-def _cluster(n=6, k=3, d=4, mu=2, q=7, seed=0):
-    field = PrimeField(q)
-    enc = vandermonde_encoder(field, n, d)
-    tree = build_tree(k, d, mu)
-    rng = random.Random(seed)
-    data = [rng.randrange(q) for _ in range(code_params(k, d, mu).file_size)]
-    return data, ClusterState.create(field, enc, tree, data)
-
-
-def test_cluster_repair_and_ledger():
-    data, cluster = _cluster(seed=3)
-    beta = code_params(3, 4, 2).beta
-    assert cluster.live_nodes() == [1, 2, 3, 4, 5, 6]
-    before = cluster.shares[2].payload.copy()
-    cluster.fail_node(2)
-    assert cluster.live_nodes() == [1, 3, 4, 5, 6]
-    moved = cluster.repair_node(2)
-    assert moved == 4 * beta
-    assert cluster.bandwidth_log == [moved]
-    assert np.array_equal(cluster.shares[2].payload, before)
-    assert list(cluster.recover()) == data
-    with pytest.raises(ValueError):
-        cluster.fail_node(9)
-    with pytest.raises(ValueError):
-        cluster.repair_node(1)
-
-
-def test_cluster_sequential_failures_up_to_margin():
-    # n - d nodes can be down at once; repairing each in turn keeps the
-    # cluster whole, and any k survivors still recover
-    data, cluster = _cluster(n=7, seed=5)
-    enc7 = cluster.enc
-    cluster.fail_node(1)
-    cluster.fail_node(5)
-    cluster.fail_node(7)
-    with pytest.raises(ValueError):
-        cluster.repair_node(1, helpers=[2, 3, 4])
-    for node in (1, 5, 7):
-        cluster.repair_node(node)
-    assert cluster.live_nodes() == list(range(1, 8))
-    assert list(cluster.recover([3, 6, 7])) == data
-    assert len(cluster.bandwidth_log) == 3
-
-
 def test_encode_repair_recover_files(tmp_path):
     rng = random.Random(41)
     blob = bytes(rng.randrange(256) for _ in range(1000))
@@ -222,7 +175,7 @@ def test_encode_file_parameter_errors(tmp_path):
 @pytest.mark.parametrize("name, value", [
     ("format", "other"), ("version", 9), ("encoder", "cauchy"),
     ("alpha", 8), ("beta", 4), ("file_symbols", 999),
-    ("stripe_count", 51), ("pad_symbols", 2),
+    ("stripe_count", 51), ("pad_symbols", 2), ("beta", "3x"),
 ])
 def test_corrupt_manifest_field_is_named(tmp_path, name, value):
     # at (6,3,4,2) a 1000-byte file is 50 full stripes: alpha 7, beta 3
@@ -255,6 +208,33 @@ def test_repair_rejects_foreign_share(tmp_path):
     (out / share_filename(2)).unlink()
     with pytest.raises(ValueError):
         repair_shares(manifest, out, 2, [1, 3, 4, 5])
+
+
+@pytest.mark.parametrize("failed, helpers, named", [
+    (2, [1, 3, 4, 7], "helper 7"), (2, [0, 1, 3, 4], "helper 0"),
+    (9, [1, 3, 4, 5], "failed node 9"),
+], ids=["helper-above-n", "helper-zero", "failed-above-n"])
+def test_repair_rejects_node_out_of_range(tmp_path, monkeypatch, failed, helpers, named):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(100)))
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    monkeypatch.setattr(storlab, "read_share_file", None)  # no share may be read
+    with pytest.raises(ValueError, match=f"{named} out of range 1..6"):
+        repair_shares(manifest, out, failed, helpers)
+
+
+@pytest.mark.parametrize("nodes, named", [([0, 1, 2], "observer 0"), ([1, 2, 7], "observer 7")],
+                         ids=["observer-zero", "observer-above-n"])
+def test_recover_rejects_node_out_of_range(tmp_path, monkeypatch, nodes, named):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(100)))
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    monkeypatch.setattr(storlab, "read_share_file", None)  # no share may be read
+    with pytest.raises(ValueError, match=f"{named} out of range 1..6"):
+        recover_file(manifest, tmp_path / "back.bin", out, nodes=nodes)
+    assert not (tmp_path / "back.bin").exists()
 
 
 def test_repair_of_empty_file_moves_nothing(tmp_path):
