@@ -28,8 +28,8 @@ from .codec import (
 from .fqlinalg import Field, field_for_order
 from .params import CodeParams, code_params
 
-# plans kept per kind; a repair plan is keyed by its helper order, so an
-# unbounded cache would grow with every distinct helper list
+# plans kept per kind; a repair plan is keyed by its helper set, so an
+# unbounded cache would grow with every distinct set
 CACHE_SIZE = 64
 # identity columns per reference pass are chosen so that one d x alpha x
 # width int64 message matrix fits in this many bytes; a pass keeps about
@@ -65,8 +65,10 @@ def code_system(key: CodeKey) -> CodeSystem:
     """Build (once per key) the field, encoder and tree of a code.
 
     Raises:
-        ValueError: On invalid parameters or an unsupported field order.
+        ValueError: On invalid parameters, n <= d or an unsupported field order.
     """
+    if key.n <= key.d:
+        raise ValueError(f"need n > d, got n = {key.n} with d = {key.d}")
     field = field_for_order(key.q)
     enc = vandermonde_encoder(field, key.n, key.d)
     if key.semi_systematic:

@@ -22,10 +22,9 @@ from .codec import (
     helper_repair_message,
     recover_data,
     regenerate_node,
-    vandermonde_encoder,
 )
-from .combin import binomial
-from .detseg import repair_encoder
+from .combin import binomial, subsets_lex
+from .detseg import det_repair_symbol, repair_encoder
 from .fqlinalg import Field, field_for_order, is_prime, mat_mul, mat_rank
 from .params import code_params, params_implicit, t_sequence
 from .plans import (
@@ -44,8 +43,7 @@ MANIFEST_KEYS = (
     "format", "version", "n", "k", "d", "mu", "q", "alpha", "beta",
     "file_symbols", "stripe_count", "pad_symbols", "encoder", "semi_systematic",
 )
-_MANIFEST_INTS = {"version", "n", "k", "d", "mu", "q", "alpha", "beta",
-                  "file_symbols", "stripe_count", "pad_symbols", "semi_systematic"}
+_MANIFEST_INTS = set(MANIFEST_KEYS) - {"format", "encoder"}
 
 
 def default_cli_order(n: int) -> int:
@@ -187,6 +185,24 @@ def read_manifest(path: Path) -> dict[str, object]:
     return entries
 
 
+def _manifest(key: CodeKey, file_symbols: int) -> dict[str, object]:
+    # the whole manifest, in MANIFEST_KEYS order: the code and the file size fix it
+    params = code_system(key).params
+    stripes = -(-file_symbols // params.file_size)
+    return {"format": "cascade-shares", "version": 1, "n": key.n, "k": key.k, "d": key.d,
+            "mu": key.mu, "q": key.q, "alpha": params.alpha, "beta": params.beta,
+            "file_symbols": file_symbols, "stripe_count": stripes,
+            "pad_symbols": stripes * params.file_size - file_symbols,
+            "encoder": "vandermonde", "semi_systematic": int(key.semi_systematic)}
+
+
+def _write_share(shares_dir: Path, key: CodeKey, node: int, block: NDArray) -> Path:
+    # one node's (stripes, alpha) block, stored stripe by stripe
+    path = shares_dir / share_filename(node)
+    write_share_file(path, key.n, key.k, key.d, key.mu, key.q, node, block.ravel())
+    return path
+
+
 def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int,
                 q: int | None = None, semi_systematic: bool = False) -> Path:
     """Encode a file into n share files plus a manifest; returns the manifest path.
@@ -201,83 +217,71 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     """
     if q is None:
         q = default_cli_order(n)
-    params = code_params(k, d, mu)
-    if n < d + 1:
-        raise ValueError(f"need n > d, got n = {n} with d = {d}")
     key = CodeKey(q, n, k, d, mu, bool(semi_systematic))
-    field = code_system(key).field
-
+    system = code_system(key)
     symbols = bytes_to_symbols(input_path.read_bytes(), q)
-    f_size = params.file_size
-    stripes = -(-symbols.size // f_size)
-    pad = stripes * f_size - symbols.size
-    rows = np.zeros((stripes, f_size), dtype=np.uint8)
+    entries = _manifest(key, symbols.size)
+    f_size, alpha = system.params.file_size, system.params.alpha
+    rows = np.zeros((entries["stripe_count"], f_size), dtype=np.uint8)
     rows.reshape(-1)[:symbols.size] = symbols
-    coded = mat_mul(field, rows, encode_plan(key))
+    coded = mat_mul(system.field, rows, encode_plan(key))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    alpha = params.alpha
     for i in range(1, n + 1):
-        payload = coded[:, (i - 1) * alpha:i * alpha].ravel()
-        write_share_file(out_dir / share_filename(i), n, k, d, mu, q, i, payload)
+        _write_share(out_dir, key, i, coded[:, (i - 1) * alpha:i * alpha])
     manifest = out_dir / "manifest.txt"
-    write_manifest(manifest, {
-        "format": "cascade-shares", "version": 1, "n": n, "k": k, "d": d,
-        "mu": mu, "q": q, "alpha": params.alpha, "beta": params.beta,
-        "file_symbols": symbols.size, "stripe_count": stripes,
-        "pad_symbols": pad, "encoder": "vandermonde",
-        "semi_systematic": int(semi_systematic),
-    })
+    write_manifest(manifest, entries)
     return manifest
 
 
 def _load_system(manifest_path: Path) -> tuple[dict[str, object], CodeKey]:
-    # every field the operations rely on must agree with the code the
-    # manifest names; a corrupt one would otherwise yield a wrong file
+    # every key must be what the code and the file size give; a corrupt one
+    # would otherwise yield a wrong file
     entries = read_manifest(manifest_path)
-    for name, want in (("format", "cascade-shares"), ("version", 1),
-                       ("encoder", "vandermonde")):
+    key = CodeKey(*(entries[name] for name in ("q", "n", "k", "d", "mu")),
+                  bool(entries["semi_systematic"]))
+    file_symbols = entries["file_symbols"]
+    for name, want in _manifest(key, file_symbols).items():
         if entries[name] != want:
-            raise ValueError(f"manifest {name} is {entries[name]!r}, expected {want!r}")
-    key = CodeKey(*(int(entries[name]) for name in ("q", "n", "k", "d", "mu")),
-                  bool(int(entries["semi_systematic"])))
-    params = code_system(key).params
-    for name in ("alpha", "beta"):
-        if entries[name] != getattr(params, name):
-            raise ValueError(f"manifest {name} = {entries[name]} does not match "
-                             f"{getattr(params, name)} at (k, d, mu) = {key[2:5]}")
-    f_size = params.file_size
-    stripes = -(-entries["file_symbols"] // f_size)
-    if entries["stripe_count"] != stripes:
-        raise ValueError(f"manifest stripe_count = {entries['stripe_count']} does not match "
-                         f"file_symbols = {entries['file_symbols']} in stripes of F = {f_size}")
-    if entries["pad_symbols"] != stripes * f_size - entries["file_symbols"]:
-        raise ValueError(f"manifest pad_symbols = {entries['pad_symbols']} does not match "
-                         f"file_symbols = {entries['file_symbols']} in stripes of F = {f_size}")
+            raise ValueError(f"manifest {name} = {entries[name]!r} does not match {want!r}, "
+                             f"derived from {key} and file_symbols = {file_symbols}")
     return entries, key
 
 
-def _check_range(role: str, nodes: Sequence[int], n: int) -> None:
-    # a node index outside 1..n would otherwise surface as a missing file
+def _node_set(role: str, nodes: Sequence[int], count: int, n: int) -> tuple[int, ...]:
+    # the one rule for the nodes an operation names, checked before any
+    # share is read. Returned ascending: no result depends on the order, so
+    # each node set compiles one plan
     for node in nodes:
         if not 1 <= node <= n:
             raise ValueError(f"{role} {node} out of range 1..{n}")
+    if len(nodes) != count or len(set(nodes)) != count:
+        raise ValueError(f"need {count} distinct {role}s, got {list(nodes)}")
+    return tuple(sorted(nodes))
 
 
-def _read_cluster_share(shares_dir: Path, entries: dict[str, object], node: int,
-                        ) -> NDArray[np.int64]:
-    header, payload = read_share_file(shares_dir / share_filename(node))
-    for key in ("n", "k", "d", "mu", "q"):
-        if header[key] != int(entries[key]):
-            raise ValueError(f"share of node {node} disagrees with the manifest "
-                             f"on {key} ({header[key]} vs {entries[key]})")
-    if header["node"] != node:
-        raise ValueError(f"share file for node {node} carries index {header['node']}")
-    expected = int(entries["stripe_count"]) * int(entries["alpha"])
-    if payload.size != expected:
-        raise ValueError(f"share of node {node} holds {payload.size} elements, "
-                         f"expected {expected}")
-    return payload
+def _read_shares(shares_dir: Path, entries: dict[str, object], nodes: Sequence[int],
+                 dtype: np.dtype) -> NDArray:
+    # the nodes' shares side by side, one row per stripe: columns
+    # j*alpha .. (j+1)*alpha hold the share of nodes[j]
+    stripes, alpha = entries["stripe_count"], entries["alpha"]
+    out = np.empty((stripes, len(nodes) * alpha), dtype=dtype)
+    for j, node in enumerate(nodes):
+        try:
+            header, payload = read_share_file(shares_dir / share_filename(node))
+        except FileNotFoundError:
+            raise ValueError(f"share of node {node} is missing from {shares_dir}") from None
+        for name in ("n", "k", "d", "mu", "q"):
+            if header[name] != entries[name]:
+                raise ValueError(f"share of node {node} disagrees with the manifest "
+                                 f"on {name} ({header[name]} vs {entries[name]})")
+        if header["node"] != node:
+            raise ValueError(f"share file for node {node} carries index {header['node']}")
+        if payload.size != stripes * alpha:
+            raise ValueError(f"share of node {node} holds {payload.size} elements, "
+                             f"expected {stripes * alpha}")
+        out[:, j * alpha:(j + 1) * alpha] = payload.reshape(stripes, alpha)
+    return out
 
 
 def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
@@ -289,48 +293,41 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     of the received messages with the regenerate plan. Each helper's message
     crosses a real serialization boundary once, carrying every stripe, and
     the reported bandwidth counts the symbols deserialized: d * beta per
-    stripe.
+    stripe. The helpers may be listed in any order.
 
     Raises:
-        ValueError: On bad node indices, repeated helpers, or a message that
-            does not fit its helper and failed node or holds a symbol
-            outside the field.
+        ValueError: On bad node indices, repeated helpers, a missing or
+            foreign share, or a message that does not fit its helper and
+            failed node or holds a symbol outside the field.
     """
     entries, key = _load_system(manifest_path)
-    n, d = int(entries["n"]), int(entries["d"])
-    stripes = int(entries["stripe_count"])
-    _check_range("failed node", [failed], n)
-    _check_range("helper", helpers, n)
-    if len(helpers) != d or len(set(helpers)) != d:
-        raise ValueError(f"need d = {d} distinct helpers")
+    (failed,) = _node_set("failed node", [failed], 1, key.n)
+    helpers = _node_set("helper", helpers, key.d, key.n)
     if failed in helpers:
         raise ValueError("the failed node cannot help itself")
-    payloads = {h: _read_cluster_share(shares_dir, entries, h) for h in helpers}
     system = code_system(key)
-    alpha, beta = system.params.alpha, system.params.beta
+    field, alpha, beta = system.field, system.params.alpha, system.params.beta
+    stripes = entries["stripe_count"]
+    shares = _read_shares(shares_dir, entries, helpers, field.dtype)
     helper_map = helper_plan(key, failed)
 
-    received = np.empty((stripes, d * beta), dtype=system.field.dtype)
+    received = np.empty((stripes, key.d * beta), dtype=field.dtype)
     moved = 0
     for j, h in enumerate(helpers):
-        share = NodeShare(index=h, payload=payloads[h].reshape(stripes, alpha).T)
+        share = NodeShare(index=h, payload=shares[:, j * alpha:(j + 1) * alpha].T)
         batch = helper_repair_message(system.enc, system.tree, share, failed, helper_map)
-        message = RepairMessage.from_bytes(batch.to_bytes(), d, stripes)
+        message = RepairMessage.from_bytes(batch.to_bytes(), key.d, stripes)
         if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
             raise ValueError(f"message from node {message.helper} for node "
                              f"{message.failed} does not fit helper {h} repairing {failed}")
         symbols = np.concatenate(message.blocks)
-        if (symbols >= system.field.q).any():
+        if (symbols >= field.q).any():
             raise ValueError(f"message from helper {h} holds a symbol outside "
-                             f"GF({system.field.q})")
+                             f"GF({field.q})")
         moved += message.total_symbols
         received[:, j * beta:(j + 1) * beta] = symbols.T
-    rebuilt = mat_mul(system.field, received, regenerate_plan(key, failed, tuple(helpers)))
-    payload = rebuilt.ravel()
-    out = shares_dir / share_filename(failed)
-    write_share_file(out, n, int(entries["k"]), d, int(entries["mu"]),
-                     int(entries["q"]), failed, payload)
-    return out, moved
+    rebuilt = mat_mul(field, received, regenerate_plan(key, failed, helpers))
+    return _write_share(shares_dir, key, failed, rebuilt), moved
 
 
 def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
@@ -338,33 +335,24 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
     """Rebuild the original file from any k shares and write it to out_path.
 
     All stripes are decoded by one product with the compiled recover plan
-    of the chosen nodes, in the given order.
+    of the chosen nodes, in any order (default: the first k present).
 
     Raises:
         ValueError: On a node index outside 1..n, other than k distinct
-            nodes, or a share that disagrees with the manifest.
+            nodes, or a share that is missing or disagrees with the manifest.
     """
     entries, key = _load_system(manifest_path)
     system = code_system(key)
-    k, alpha = key.k, system.params.alpha
-    stripes = int(entries["stripe_count"])
     if nodes is None:
-        nodes = []
-        for i in range(1, int(entries["n"]) + 1):
-            if (shares_dir / share_filename(i)).exists():
-                nodes.append(i)
-            if len(nodes) == k:
-                break
-    _check_range("observer", nodes, int(entries["n"]))
-    if len(nodes) != k or len(set(nodes)) != k:
-        raise ValueError(f"recovery needs exactly k = {k} distinct nodes")
-    field = system.field
-    observed = np.empty((stripes, k * alpha), dtype=field.dtype)
-    for j, i in enumerate(nodes):
-        observed[:, j * alpha:(j + 1) * alpha] = (
-            _read_cluster_share(shares_dir, entries, i).reshape(stripes, alpha))
-    symbols = mat_mul(field, observed, recover_plan(key, tuple(nodes))).ravel()
-    pad = int(entries["pad_symbols"])
+        nodes = [i for i in range(1, key.n + 1) if (shares_dir / share_filename(i)).exists()]
+        if len(nodes) < key.k:
+            raise ValueError(f"recovery needs k = {key.k} shares, found {len(nodes)} "
+                             f"in {shares_dir}: nodes {nodes}")
+        nodes = nodes[:key.k]
+    nodes = _node_set("observer", nodes, key.k, key.n)
+    observed = _read_shares(shares_dir, entries, nodes, system.field.dtype)
+    symbols = mat_mul(system.field, observed, recover_plan(key, nodes)).ravel()
+    pad = entries["pad_symbols"]
     if pad:
         symbols = symbols[:-pad]
     out_path.write_bytes(symbols_to_bytes(symbols))
@@ -383,12 +371,9 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
 
     if n > 8 or d > 6:
         raise ValueError(f"verify is desk-scale only (n <= 8, d <= 6), got n={n}, d={d}")
-    if n < d + 1:
-        raise ValueError(f"need n > d, got n = {n} with d = {d}")
+    system = code_system(CodeKey(q, n, k, d, mu, False))
+    field, enc, params = system.field, system.enc, system.params
     rng = random.Random(seed)
-    field = field_for_order(q)
-    params = code_params(k, d, mu)
-    enc = vandermonde_encoder(field, n, d)
     tree = build_tree(k, d, mu)
     file_symbols = [rng.randrange(field.q) for _ in range(params.file_size)]
     results: list[tuple[str, bool, str]] = []
@@ -451,27 +436,15 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
 
 
 def _parity_audit(field: Field, sm) -> bool:
-    # every w-group materialized across a pre-injection segment must satisfy
-    # its alternating parity equation
-    from .combin import ind_count as ind, subset_rank as rank, subsets_lex
-
+    # every (m+1)-group across a mode-m pre-injection segment must close its
+    # alternating parity sum, the sum det_repair_symbol takes. A mode-0
+    # segment's groups are its single entries; a mode-d segment has none
     d = sm.tree.d
-    for spec in sm.tree.segments:
-        mat = sm.pre_matrices[spec.segment_id]
-        m = spec.mode
-        if m == 0:
-            if mat.any():
-                return False
-            continue
-        for y_set in subsets_lex(d, m + 1):
-            acc = np.int64(0)
-            for y in y_set:
-                signed = field.mul(field.signed_unit(spec.signature[y - 1]),
-                                   mat[y - 1, rank(d, tuple(e for e in y_set if e != y))])
-                acc = field.add(acc, field.mul(field.signed_unit(ind(y_set, y)), signed))
-            if int(acc) != 0:
-                return False
-    return True
+    return all(
+        int(det_repair_symbol(field, sm.pre_matrices[spec.segment_id], y_set,
+                              spec.signature)) == 0
+        for spec in sm.tree.segments if spec.mode < d
+        for y_set in subsets_lex(d, spec.mode + 1))
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -528,7 +501,7 @@ def _cmd_repair(args) -> int:
     shares_dir = Path(args.shares_dir) if args.shares_dir else Path(args.manifest).parent
     path, moved = repair_shares(Path(args.manifest), shares_dir, args.fail, args.helpers)
     entries = read_manifest(Path(args.manifest))
-    expected = int(entries["d"]) * int(entries["beta"]) * int(entries["stripe_count"])
+    expected = entries["d"] * entries["beta"] * entries["stripe_count"]
     print(f"regenerated node {args.fail} -> {path}")
     print(f"bandwidth: {moved} symbols ({entries['d']} helpers x beta = {entries['beta']} "
           f"x {entries['stripe_count']} stripes; formula gives {expected})")

@@ -121,7 +121,7 @@ def test_plan_path_matches_reference(case):
 
 def test_cache_keys_keep_field_order_and_encoder_apart(tmp_path):
     # one process, several keys that differ in one component each: a key
-    # that dropped q, the helper or observer order, or semi_systematic
+    # that dropped q, the helper or observer set, or semi_systematic
     # would hand a later call a plan compiled for an earlier one
     data = bytes(random.Random(3).randrange(256) for _ in range(150))
     runs = [(256, False, [2, 3, 4, 5], [1, 5, 6]),
@@ -133,6 +133,35 @@ def test_cache_keys_keep_field_order_and_encoder_apart(tmp_path):
         run = tmp_path / f"run{i}"
         run.mkdir()
         _cycle(run, q, 6, 3, 4, 2, semi, data, 1, helpers, observers)
+
+
+def test_node_order_changes_neither_result_nor_plan(tmp_path):
+    # a helper's message depends only on itself and the failed node, and
+    # recovery only on which k nodes answer: listing the same nodes in
+    # another order gives the same bytes from the same compiled plan
+    data = bytes(random.Random(6).randrange(256) for _ in range(700))
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    out = tmp_path / "shares"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    lost = (out / share_filename(2)).read_bytes()
+    plans.regenerate_plan.cache_clear()
+    repaired = []
+    for helpers in ([5, 4, 3, 1], [1, 3, 4, 5]):
+        (out / share_filename(2)).unlink()
+        repair_shares(manifest, out, 2, helpers)
+        repaired.append((out / share_filename(2)).read_bytes())
+    assert repaired == [lost, lost]
+    assert plans.regenerate_plan.cache_info().misses == 1
+
+    plans.recover_plan.cache_clear()
+    recovered = []
+    for i, observers in enumerate(([6, 2, 4], [2, 4, 6], [4, 6, 2])):
+        back = tmp_path / f"back{i}.bin"
+        recover_file(manifest, back, out, nodes=observers)
+        recovered.append(back.read_bytes())
+    assert recovered == [data] * 3
+    assert plans.recover_plan.cache_info().misses == 1
 
 
 def test_every_failed_node_repairs(tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cascade_codes import storlab
+from cascade_codes.combin import subsets_lex
 from cascade_codes.fqlinalg import BinaryField, PrimeField
 from cascade_codes.params import code_params
 from cascade_codes.storlab import (
@@ -176,6 +177,7 @@ def test_encode_file_parameter_errors(tmp_path):
     ("format", "other"), ("version", 9), ("encoder", "cauchy"),
     ("alpha", 8), ("beta", 4), ("file_symbols", 999),
     ("stripe_count", 51), ("pad_symbols", 2), ("beta", "3x"),
+    ("semi_systematic", 2),
 ])
 def test_corrupt_manifest_field_is_named(tmp_path, name, value):
     # at (6,3,4,2) a 1000-byte file is 50 full stripes: alpha 7, beta 3
@@ -234,6 +236,24 @@ def test_recover_rejects_node_out_of_range(tmp_path, monkeypatch, nodes, named):
     monkeypatch.setattr(storlab, "read_share_file", None)  # no share may be read
     with pytest.raises(ValueError, match=f"{named} out of range 1..6"):
         recover_file(manifest, tmp_path / "back.bin", out, nodes=nodes)
+    assert not (tmp_path / "back.bin").exists()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda m, out, back: repair_shares(m, out, 1, [2, 3, 5, 6]), "share of node 2 is missing"),
+    (lambda m, out, back: recover_file(m, back, out, nodes=[1, 5, 6]),
+     "share of node 1 is missing"),
+    (lambda m, out, back: recover_file(m, back, out), r"k = 3 shares, found 2 .*nodes \[5, 6\]"),
+], ids=["helper", "observer", "too-few-present"])
+def test_missing_shares_are_named(tmp_path, call, named):
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(100)) * 3)
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    for node in range(1, 5):
+        (out / share_filename(node)).unlink()
+    with pytest.raises(ValueError, match=named):
+        call(manifest, out, tmp_path / "back.bin")
     assert not (tmp_path / "back.bin").exists()
 
 
@@ -349,6 +369,33 @@ def test_run_verify_passes():
     assert len(names) == len(set(names))
     results = run_verify(4, 6, 2, 8, 11, exhaustive=False, seed=2)
     assert all(ok for _, ok, _ in results)
+    # mu = k = d: the mode-d root has no parity groups to audit
+    results = run_verify(2, 2, 2, 3, 7, exhaustive=False, seed=3)
+    assert all(ok for _, ok, _ in results)
+    results = run_verify(3, 3, 3, 4, 7, exhaustive=True, seed=4)
+    assert all(ok for _, ok, _ in results)
+
+
+def test_parity_audit_catches_one_changed_entry():
+    # each entry (x, I) with x outside I closes exactly one group, I + {x},
+    # with coefficient +-1, so changing it alone must fail the audit. At
+    # (2, 2, 2) the tree is the mode-d root alone: nothing to change
+    mutations = 0
+    for k, d, mu, q in ((3, 4, 2, 7), (3, 4, 3, 16), (2, 2, 2, 7)):
+        field = field_for_order(q)
+        rng = random.Random(k * d * mu)
+        file_symbols = [rng.randrange(q) for _ in range(code_params(k, d, mu).file_size)]
+        sm = storlab.build_super_message(field, k, d, mu, file_symbols)
+        assert storlab._parity_audit(field, sm)
+        for spec in sm.tree.segments:
+            for c, i_set in enumerate(subsets_lex(d, spec.mode)):
+                for x in set(range(1, d + 1)) - set(i_set):
+                    pre = [mat.copy() for mat in sm.pre_matrices]
+                    pre[spec.segment_id][x - 1, c] = field.add(pre[spec.segment_id][x - 1, c], 1)
+                    changed = dataclasses.replace(sm, pre_matrices=tuple(pre))
+                    assert not storlab._parity_audit(field, changed), (k, d, mu, spec, i_set, x)
+                    mutations += 1
+    assert mutations > 0
 
 
 def test_run_verify_bounds():
