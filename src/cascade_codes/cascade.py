@@ -69,7 +69,6 @@ class HierarchyTree:
     d: int
     mu: int
     segments: tuple[SegmentSpec, ...]
-    child_ids: Mapping[int, tuple[int, ...]]
     pair_index: Mapping[tuple[int, InjectionPair], int]
 
     def __len__(self) -> int:
@@ -83,7 +82,8 @@ class HierarchyTree:
         return self.segments[sid]
 
     def children_of(self, sid: int) -> tuple[int, ...]:
-        return self.child_ids[sid]
+        # pair_index is filled in enumeration order
+        return tuple(child for (parent, _), child in self.pair_index.items() if parent == sid)
 
     def child_with_pair(self, sid: int, pair: InjectionPair) -> int:
         """Id of the child of segment sid created by injection pair (x, B)."""
@@ -111,7 +111,6 @@ def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
     if not 1 <= mu <= k <= d:
         raise ValueError(f"need 1 <= mu <= k <= d, got (k, d, mu) = ({k}, {d}, {mu})")
     segments = [SegmentSpec(0, k, d, mu, (0,) * d)]
-    child_ids: dict[int, list[int]] = {0: []}
     pair_index: dict[tuple[int, InjectionPair], int] = {}
     head = 0
     while head < len(segments):
@@ -129,15 +128,12 @@ def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
                 parent_id=parent.segment_id,
                 injection_pair=pair,
             ))
-            child_ids[parent.segment_id].append(sid)
-            child_ids[sid] = []
             pair_index[(parent.segment_id, (x, tuple(b)))] = sid
     return HierarchyTree(
         k=k,
         d=d,
         mu=mu,
         segments=tuple(segments),
-        child_ids={sid: tuple(ids) for sid, ids in child_ids.items()},
         pair_index=pair_index,
     )
 

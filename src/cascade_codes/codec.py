@@ -454,7 +454,7 @@ def recover_data(
         cols = subsets_lex(d, m)
         mat = np.zeros((d, len(cols)) + stripes, dtype=np.int64)
         col_obs = observed[:, offsets[sid]:offsets[sid] + len(cols)]
-        for c in sorted(range(len(cols)), key=lambda i: cols[i], reverse=True):
+        for c in reversed(range(len(cols))):
             i_set = cols[c]
             for x in range(k + 1, d + 1):
                 mat[x - 1, c] = _bottom_entry(field, tree, spec, i_set, x, mat, injections)
@@ -522,11 +522,11 @@ def repair_overlap_dim(
     failed_a: int,
     failed_b: int,
 ) -> int:
-    """Measured overlap of the helper's repair spaces toward two failures.
+    """Measured overlap of the helper's repair messages toward two failures.
 
-    Treats each transmitted repair symbol as a linear functional of the file
-    and spans it over a full unit-file basis; the overlap is
-    rank(A) + rank(B) - rank([A B]).
+    Encodes the F x F identity, so that each symbol the helper sends toward
+    a failed node is a row: a linear functional of the file. With A and B
+    the two messages, the overlap is rank(A) + rank(B) - rank([A; B]).
 
     Raises:
         ValueError: Unless helper and the two failed nodes are distinct.
@@ -536,17 +536,8 @@ def repair_overlap_dim(
     field = enc.field
     unit_files = np.eye(len(layout_from_tree(tree)), dtype=np.int64)
     sm = build_super_message(field, tree.k, tree.d, tree.mu, unit_files)
-    # column j of the helper's coded row is its codeword for unit file j
-    coded = _apply(field, enc.row(helper)[None, :], sm.matrix)[0]
-    offsets, _ = segment_offsets(tree)
-    spans = []
-    for target in (failed_a, failed_b):
-        parts = []
-        for spec in tree.segments:
-            start = offsets[spec.segment_id]
-            slice_ = coded[start:start + binomial(tree.d, spec.mode)]
-            lam = repair_encoder(field, enc.row(target), spec.signature, spec.mode)
-            parts.append(mat_mul(field, slice_.T, lam))
-        spans.append(np.hstack(parts))
-    a, b = spans
-    return mat_rank(field, a) + mat_rank(field, b) - mat_rank(field, np.hstack([a, b]))
+    # column j of the helper's share is its share of unit file j
+    share = encode(enc, sm)[helper - 1]
+    a, b = (np.concatenate(helper_repair_message(enc, tree, share, failed).blocks)
+            for failed in (failed_a, failed_b))
+    return mat_rank(field, a) + mat_rank(field, b) - mat_rank(field, np.vstack([a, b]))

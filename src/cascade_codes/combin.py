@@ -8,16 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-# max of the empty set; any comparison x <= NEG_INF is False
-NEG_INF = float("-inf")
-
 Subset = tuple[int, ...]
-
-
-def set_max(s: Iterable[int]) -> float | int:
-    """Maximum of a set of integers, with max(empty) = NEG_INF."""
-    s = tuple(s)
-    return max(s) if s else NEG_INF
 
 
 def binomial(ell: int, m: int) -> int:

@@ -10,7 +10,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .combin import Subset, binomial, ind_count, set_max, subset_rank, subsets_lex
+from .combin import Subset, binomial, ind_count, subset_rank, subsets_lex
 from .fqlinalg import Field
 # unused here, but bound so that perfbench/spans.py, which rebinds mat_mul by
 # name in this module and in codec, finds it
@@ -74,12 +74,12 @@ def classify_entry(x: int, i_set: Subset, k: int) -> str:
     B = I cap [k+1..d]: D_GROUP when x <= max B and A is nonempty (the symbol
     is re-injected into a child), N_GROUP when x <= max B and A is empty
     (nulled to zero), P_GROUP when x > max B (recoverable from a parity
-    equation). max of an empty B is -inf, so empty B always lands in P_GROUP.
+    equation). An empty B has max 0, below every bottom row, so it always
+    lands in P_GROUP.
     """
     if x <= k:
         return UPPER
-    b_max = set_max(e for e in i_set if e > k)
-    if x <= b_max:
+    if x <= max((e for e in i_set if e > k), default=0):
         return D_GROUP if any(e <= k for e in i_set) else N_GROUP
     return P_GROUP
 
@@ -161,7 +161,8 @@ def build_pre_injection(
     (-1)^{sigma(x)} w_{x, I+{x}} otherwise. Nulled positions are zero, and
     the parity member of every w-group is synthesized from the supplied
     members, so each fully materialized group satisfies its parity equation.
-    A mode-0 segment is the d x 1 zero column and takes no symbols.
+    A mode-0 segment takes no symbols: entry (x, {}) closes the one-member
+    group {x}, whose parity equation makes it zero.
 
     Args:
         field: Field the symbols live in.
@@ -188,9 +189,6 @@ def build_pre_injection(
 
     cols = subsets_lex(d, m)
     raw = np.zeros((d, len(cols)) + stripes, dtype=np.int64)
-    if m == 0:
-        return raw
-
     # place the free symbols; nulled positions stay zero
     for sym, value in symbols.items():
         raw[symbol_position(d, sym)] = value
@@ -198,7 +196,7 @@ def build_pre_injection(
     # complete every parity member from the group it closes
     unsigned = (0,) * d
     for c, i_set in enumerate(cols):
-        for x in range(i_set[-1] + 1, d + 1):
+        for x in range(max(i_set, default=0) + 1, d + 1):
             raw[x - 1, c] = parity_entry(field, unsigned, raw, i_set, x)
 
     signs = field.signed_unit(np.asarray(spec.signature)).reshape((d,) + (1,) * (raw.ndim - 1))
@@ -220,8 +218,6 @@ def repair_encoder(
     """
     d = len(psi_row)
     rows = subsets_lex(d, mode)
-    if mode == 0:
-        return np.zeros((1, 0), dtype=np.int64)
     lam = np.zeros((len(rows), binomial(d, mode - 1)), dtype=np.int64)
     for r, i_set in enumerate(rows):
         for y in i_set:

@@ -109,7 +109,8 @@ class PrimeField:
 
 
 class BinaryField:
-    """GF(2^s) with log/exp table arithmetic over a fixed primitive polynomial.
+    """GF(2^s) over a fixed primitive polynomial, with one product table and
+    one inverse row built from log/exp tables.
 
     Elements are below 2^8, so ``dtype`` (the dtype of matrix products) is
     uint8.
@@ -137,8 +138,6 @@ class BinaryField:
                 x ^= poly
         # doubled table avoids a modular reduction on log sums
         exp[self.q - 1:2 * self.q - 2] = exp[: self.q - 1]
-        self._exp = exp
-        self._log = log
         # full product table, q x q bytes; row and column 0 hold the zero
         # products the log table cannot express
         log_small = log.astype(np.int16)
@@ -146,6 +145,8 @@ class BinaryField:
         table[0, :] = 0
         table[:, 0] = 0
         self._mul_table = table
+        # a^-1 = exp(q - 1 - log a); entry 0 is never read
+        self._inverse = exp[self.q - 1 - log]
 
     def __repr__(self) -> str:
         return f"BinaryField(2^{self.s})"
@@ -163,16 +164,14 @@ class BinaryField:
         return np.asarray(a, dtype=np.int64)
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)[()]
+        return self._mul_table[np.asarray(a, dtype=np.int64),
+                               np.asarray(b, dtype=np.int64)].astype(np.int64)
 
     def inv(self, a) -> int:
         a = int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(q)")
-        return int(self._exp[self.q - 1 - self._log[a]])
+        return int(self._inverse[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -274,8 +273,6 @@ def rref(field: Field, mat: NDArray[np.int64]) -> tuple[NDArray[np.int64], list[
 
 def mat_rank(field: Field, mat: NDArray[np.int64]) -> int:
     """Rank of ``mat`` over the field."""
-    if mat.size == 0:
-        return 0
     return len(rref(field, mat)[1])
 
 

@@ -335,7 +335,9 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
     """Rebuild the original file from any k shares and write it to out_path.
 
     All stripes are decoded by one product with the compiled recover plan
-    of the chosen nodes, in any order (default: the first k present).
+    of the chosen nodes, in any order (default: the first k present). The
+    file is written beside out_path and renamed over it, so a failed write
+    leaves no partial file.
 
     Raises:
         ValueError: On a node index outside 1..n, other than k distinct
@@ -355,7 +357,7 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
     pad = entries["pad_symbols"]
     if pad:
         symbols = symbols[:-pad]
-    out_path.write_bytes(symbols_to_bytes(symbols))
+    _replace_atomically(out_path, symbols_to_bytes(symbols))
     return out_path
 
 
@@ -400,15 +402,13 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
     results.append(("repair-encoder rank", rank_ok, "rank = C(d-1, m-1) for all f, m"))
 
     shares = encode(enc, sm)
-    cases = []
-    if exhaustive:
-        for f in range(1, n + 1):
-            others = [h for h in range(1, n + 1) if h != f]
-            cases.extend((f, hs) for hs in itertools.combinations(others, d))
-    else:
-        f = rng.randrange(1, n + 1)
-        others = [h for h in range(1, n + 1) if h != f]
-        cases.append((f, tuple(rng.sample(others, d))))
+    # every (failed node, helper set) case and every k-subset; a run that is
+    # not exhaustive checks one of each, drawn uniformly
+    cases = [(f, hs) for f in range(1, n + 1)
+             for hs in itertools.combinations([h for h in range(1, n + 1) if h != f], d)]
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    if not exhaustive:
+        cases, subsets = [rng.choice(cases)], [rng.choice(subsets)]
     repair_ok, bandwidth_ok = True, True
     for f, helpers in cases:
         messages = [helper_repair_message(enc, tree, shares[h - 1], f) for h in helpers]
@@ -421,10 +421,6 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
                     "regenerated share equals the original"))
     results.append(("repair bandwidth", bandwidth_ok, f"beta = {params.beta} per helper"))
 
-    if exhaustive:
-        subsets = list(itertools.combinations(range(1, n + 1), k))
-    else:
-        subsets = [tuple(sorted(rng.sample(range(1, n + 1), k)))]
     recover_ok = True
     for nodes in subsets:
         got = recover_data(enc, tree, list(nodes), [shares[i - 1] for i in nodes])
@@ -461,6 +457,8 @@ def _cmd_params(args) -> int:
     if args.mu is None and not (args.all_modes or args.curve):
         print("params: give a mode, --all-modes, or --curve", file=sys.stderr)
         return 2
+    if args.mu is None:
+        code_params(k, d, 1)  # checks 1 <= k <= d, even when 1..k is empty
     modes = range(1, k + 1) if args.mu is None else [args.mu]
     rows = [code_params(k, d, mu) for mu in modes]
     if args.curve:

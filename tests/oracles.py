@@ -55,6 +55,20 @@ def oracle_mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[
     return out
 
 
+def oracle_gf2_mul(a: int, b: int, s: int, poly: int) -> int:
+    """Product in GF(2^s) = GF(2)[x] / poly by shift and xor: add a * x^i
+    for each set bit i of b, reducing a by poly whenever x^s appears."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> s:
+            a ^= poly
+    return out
+
+
 def oracle_rank(mat: list[list[int]], p: int) -> int:
     """Rank over GF(p) by plain row elimination on Python ints."""
     work = [[x % p for x in row] for row in mat]

@@ -5,10 +5,8 @@ import math
 import pytest
 
 from cascade_codes.combin import (
-    NEG_INF,
     binomial,
     ind_count,
-    set_max,
     subset_rank,
     subsets_lex,
 )
@@ -70,13 +68,6 @@ def test_ind_count():
     for subset in subsets_lex(5, 3):
         for x in range(1, 6):
             assert ind_count(subset, x) == sum(1 for y in subset if y <= x)
-
-
-def test_set_max():
-    assert set_max((1, 5, 3)) == 5
-    assert set_max(()) == NEG_INF
-    assert set_max(e for e in range(0)) == NEG_INF
-    assert 7 > set_max(())
 
 
 def test_swap_above_max_moves_later_in_lex_order():

@@ -16,7 +16,7 @@ from cascade_codes.fqlinalg import (
     rref,
 )
 
-from oracles import oracle_mat_mul, oracle_rank
+from oracles import oracle_gf2_mul, oracle_mat_mul, oracle_rank
 
 
 def test_is_prime_small():
@@ -74,6 +74,33 @@ def test_binary_field_tables():
     # multiplication is the polynomial product mod x^4 + x + 1
     assert int(field.mul(0b1000, 0b0010)) == 0b0011
     assert int(field.signed_unit(1)) == 1
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
+# the one modulus per degree that fixes each binary field, written out here
+# so that a changed polynomial fails rather than agreeing with itself
+BINARY_MODULI = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011,
+                 7: 0b10001001, 8: 0b100011101}
+
+
+@pytest.mark.parametrize("s", sorted(BINARY_MODULI))
+def test_binary_field_mul_and_inv_exhaustive(s):
+    field = BinaryField(s)
+    q = 1 << s
+    want = [[oracle_gf2_mul(a, b, s, BINARY_MODULI[s]) for b in range(q)] for a in range(q)]
+    table = field.mul(np.arange(q)[:, None], np.arange(q)[None, :])
+    assert table.dtype == np.int64
+    assert table.tolist() == want
+    for a in range(q):
+        row = field.mul(a, np.arange(q))
+        assert row.dtype == np.int64 and row.tolist() == want[a]
+        for b in range(q):
+            product = field.mul(a, b)
+            assert type(product) is np.int64 and product == want[a][b]
+    for a in range(1, q):
+        inverse = field.inv(a)
+        assert type(inverse) is int and want[a][inverse] == 1
     with pytest.raises(ZeroDivisionError):
         field.inv(0)
 

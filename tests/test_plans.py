@@ -2,6 +2,7 @@
 # repair and recover bit for bit, the plan cache keys, and the memory the
 # plan path holds
 
+import hashlib
 import random
 import tempfile
 import tracemalloc
@@ -258,3 +259,43 @@ def test_file_cycle_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "back.bin").read_bytes() == data
     assert peak < FILE_CYCLE_BUDGET
+
+
+# SHA-256 of the compiled plans at each key (see _plan_digest). Each plan is
+# the whole linear map of one operation, so while a digest holds, no share,
+# message or recovered byte at that key has changed: a rewrite of the field,
+# segment or tree code must leave every digest as it is
+GOLDEN_PLAN_DIGESTS = {
+    # (q, n, k, d, mu, semi_systematic): cut-set, prime and GF(2^8)
+    # semi-systematic, MSR, MBR, mu = k = d, GF(16), a small MBR, GF(8) MSR
+    (257, 6, 3, 4, 2, False): "27f1a25584dce37ea954a30fd051e7dc11fc884bc65f7724743dda01c78b3eeb",
+    (256, 6, 3, 4, 2, True): "9b0b3320afed41b12b0e8d6c68faaade31b1aa95381e0c298a6e07001eaf2c27",
+    (257, 8, 4, 6, 4, False): "30cd8190d3e4565689bfbdb5f02f87126df8b0e348eff3246e277a3a9745497d",
+    (257, 8, 4, 6, 1, False): "7af241009a0c87c0f6de0d15112407767c18110326220e5956e875e7b5eeb404",
+    (7, 3, 2, 2, 2, False): "65117ca98dbd211baac7985c1e2fe8a6e0f02daea3db108fbb8f58116edb5f74",
+    (16, 6, 3, 4, 2, False): "e94d22aabe6dba1d3a1aebc58481e0b5a74a9793fb003c7adc24f83e7f76b183",
+    (13, 5, 2, 3, 1, False): "e2721b9d1833ad51a7a40aec418d89613ab85cdd2e7e88e4e1afd03fad8f44df",
+    (8, 5, 3, 4, 3, False): "47d46720723117c16e6cb31b03592500cd37a75cbb4f784e8253932a3059c7eb",
+}
+
+
+def _plan_digest(key: plans.CodeKey) -> str:
+    # the encode plan, the helper plan toward every node, then regenerate and
+    # recover plans for the lowest and the highest node sets
+    n, k, d = key.n, key.k, key.d
+    compiled = [plans.encode_plan(key)]
+    compiled += [plans.helper_plan(key, failed) for failed in range(1, n + 1)]
+    compiled += [plans.regenerate_plan(key, 1, tuple(range(2, d + 2))),
+                 plans.regenerate_plan(key, n, tuple(range(1, d + 1))),
+                 plans.recover_plan(key, tuple(range(1, k + 1))),
+                 plans.recover_plan(key, tuple(range(n - k + 1, n + 1)))]
+    h = hashlib.sha256()
+    for plan in compiled:
+        h.update(f"{plan.shape} {plan.dtype.str};".encode())
+        h.update(plan.tobytes())
+    return h.hexdigest()
+
+
+def test_plans_match_golden_digests():
+    got = {key: _plan_digest(plans.CodeKey(*key)) for key in GOLDEN_PLAN_DIGESTS}
+    assert got == GOLDEN_PLAN_DIGESTS

@@ -310,12 +310,20 @@ def test_repair_rejects_symbol_outside_the_field(tmp_path, monkeypatch, q):
 
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, existing):
-    share, manifest = tmp_path / share_filename(1), tmp_path / "manifest.txt"
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(100)))
+    cluster = tmp_path / "cluster"
+    cluster_manifest = encode_file(src, cluster, 6, 3, 4, 2)
+    target = tmp_path / "target"
+    target.mkdir()
+    share, manifest = target / share_filename(1), target / "manifest.txt"
+    recovered = target / "back.bin"
     entries = {key: 1 for key in MANIFEST_KEYS}
     if existing:
         write_share_file(share, 6, 3, 4, 2, 7, 1, np.arange(7))
         write_manifest(manifest, entries)
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        recovered.write_bytes(b"an older file")
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
     real = Path.write_bytes
 
     def half_then_fail(self, data):
@@ -327,7 +335,9 @@ def test_failed_write_leaves_old_file_and_no_temp(tmp_path, monkeypatch, existin
         write_share_file(share, 6, 3, 4, 2, 7, 1, np.arange(7)[::-1])
     with pytest.raises(OSError):
         write_manifest(manifest, {**entries, "n": 2})
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(OSError):
+        recover_file(cluster_manifest, recovered, cluster)
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
 
 
 def test_cli_module_runs_once_and_library_skips_argparse():
@@ -435,6 +445,12 @@ def test_cli_params(capsys):
     assert "give a mode" in capsys.readouterr().err
     assert main(["params", "4", "3", "--all-modes"]) == 2
     assert "error" in capsys.readouterr().err.lower()
+    # k = 0 leaves no mode to tabulate: an error, not an empty table
+    for flag in ("--all-modes", "--curve"):
+        assert main(["params", "0", "5", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need 1 <= mu <= k <= d" in captured.err
 
 
 def test_cli_verify(capsys):
