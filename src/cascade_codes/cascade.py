@@ -58,11 +58,14 @@ def child_signature(sigma: Sequence[int], b: Subset, d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HierarchyTree:
-    """The BFS-ordered segment tree of one cascade code.
+    """The BFS-ordered segment tree of one cascade code, with its layout.
 
     segments[0] is the root (mode mu, all-zero signature); every parent's
     children appear in enumerate_injection_pairs order, and ids are dense in
-    BFS order.
+    BFS order. Per segment, modes holds its mode, offsets its first column
+    in M (alpha columns in all) and widths its repair-message block length
+    C(d-1, m-1). layout lists the F free file symbols as (segment id,
+    symbol): segments in tree order, each in free_symbols order.
     """
 
     k: int
@@ -70,6 +73,11 @@ class HierarchyTree:
     mu: int
     segments: tuple[SegmentSpec, ...]
     pair_index: Mapping[tuple[int, InjectionPair], int]
+    modes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    widths: tuple[int, ...]
+    alpha: int
+    layout: tuple[tuple[int, SymbolId], ...]
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -93,11 +101,8 @@ class HierarchyTree:
         return self.pair_index[key]
 
     def mode_census(self) -> dict[int, int]:
-        """How many segments carry each mode."""
-        census: dict[int, int] = {}
-        for spec in self.segments:
-            census[spec.mode] = census.get(spec.mode, 0) + 1
-        return census
+        """How many segments carry each mode, modes in tree order."""
+        return {m: self.modes.count(m) for m in dict.fromkeys(self.modes)}
 
 
 def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
@@ -129,12 +134,20 @@ def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
                 injection_pair=pair,
             ))
             pair_index[(parent.segment_id, (x, tuple(b)))] = sid
+    modes = tuple(spec.mode for spec in segments)
+    *offsets, alpha = itertools.accumulate((binomial(d, m) for m in modes), initial=0)
     return HierarchyTree(
         k=k,
         d=d,
         mu=mu,
         segments=tuple(segments),
         pair_index=pair_index,
+        modes=modes,
+        offsets=tuple(offsets),
+        widths=tuple(binomial(d - 1, m - 1) for m in modes),
+        alpha=alpha,
+        layout=tuple((spec.segment_id, sym) for spec in segments
+                     for sym in free_symbols(k, d, spec.mode)),
     )
 
 
@@ -183,25 +196,7 @@ def injection_matrix(
 
 def segment_offsets(tree: HierarchyTree) -> tuple[tuple[int, ...], int]:
     """Column offset of each segment inside M, plus the total column count."""
-    offsets = []
-    total = 0
-    for spec in tree.segments:
-        offsets.append(total)
-        total += len(subsets_lex(tree.d, spec.mode))
-    return tuple(offsets), total
-
-
-def layout_from_tree(tree: HierarchyTree) -> list[tuple[int, SymbolId]]:
-    """Deterministic order of all free file symbols across the tree.
-
-    Segments in tree order, symbols within a segment in the canonical
-    free-symbol order; the list length is the file size F.
-    """
-    out = []
-    for spec in tree.segments:
-        for sym in free_symbols(tree.k, tree.d, spec.mode):
-            out.append((spec.segment_id, sym))
-    return out
+    return tree.offsets, tree.alpha
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,6 @@ class SuperMessage:
     field: Field
     pre_matrices: tuple[NDArray[np.int64], ...]
     post_matrices: tuple[NDArray[np.int64], ...]
-    alpha: int
 
     @property
     def matrix(self) -> NDArray[np.int64]:
@@ -241,20 +235,20 @@ def build_super_message(
         field: Field the symbols live in.
         k, d, mu: Code parameters, 1 <= mu <= k <= d.
         file_symbols: Exactly F field elements, ordered per
-            layout_from_tree; an F x S array encodes S stripes at once,
+            tree.layout; an F x S array encodes S stripes at once,
             and every matrix then carries that trailing stripe axis.
 
     Raises:
         ValueError: On invalid parameters or wrong file length.
     """
     tree = build_tree(k, d, mu)
-    layout = layout_from_tree(tree)
-    if len(file_symbols) != len(layout):
-        raise ValueError(f"file must have exactly {len(layout)} symbols, got {len(file_symbols)}")
+    if len(file_symbols) != len(tree.layout):
+        raise ValueError(f"file must have exactly {len(tree.layout)} symbols, "
+                         f"got {len(file_symbols)}")
 
     values = np.asarray(file_symbols, dtype=np.int64)
     per_segment: dict[int, dict[SymbolId, int]] = {spec.segment_id: {} for spec in tree.segments}
-    for (sid, sym), value in zip(layout, values):
+    for (sid, sym), value in zip(tree.layout, values):
         per_segment[sid][sym] = value
 
     pre = [build_pre_injection(field, spec, per_segment[spec.segment_id], values.shape[1:])
@@ -269,5 +263,4 @@ def build_super_message(
         field=field,
         pre_matrices=tuple(pre),
         post_matrices=tuple(post),
-        alpha=segment_offsets(tree)[1],
     )

@@ -18,8 +18,6 @@ from .cascade import (
     build_super_message,
     injection_positions,
     injection_sign,
-    layout_from_tree,
-    segment_offsets,
 )
 from .combin import binomial, subset_rank, subsets_lex
 from .detseg import (
@@ -263,11 +261,6 @@ def _repair_basis(
     return lam[:, pivots], reduced[:len(pivots)]
 
 
-def message_widths(tree: HierarchyTree) -> tuple[int, ...]:
-    """Symbols per segment block of a repair message, C(d-1, m-1) each."""
-    return tuple(binomial(tree.d - 1, spec.mode - 1) for spec in tree.segments)
-
-
 def split_blocks(vector: NDArray, widths: Sequence[int]) -> tuple[NDArray, ...]:
     """Consecutive slices of the vector's first axis, one per width."""
     ends = itertools.accumulate(widths)
@@ -299,21 +292,18 @@ def helper_repair_message(
     if share.index == failed:
         raise ValueError("a node cannot help repair itself")
     field = enc.field
-    offsets, alpha = segment_offsets(tree)
-    if len(share.payload) != alpha:
-        raise ValueError(f"share payload must have {alpha} elements")
-    modes = tuple(spec.mode for spec in tree.segments)
+    if len(share.payload) != tree.alpha:
+        raise ValueError(f"share payload must have {tree.alpha} elements")
     if plan is not None:
-        coded = _apply(field, plan.T, share.payload)
-        return RepairMessage(failed=failed, helper=share.index, modes=modes,
-                             blocks=split_blocks(coded, message_widths(tree)))
-    blocks = []
-    for spec in tree.segments:
-        start = offsets[spec.segment_id]
-        slice_ = share.payload[start:start + binomial(tree.d, spec.mode)]
-        basis, _ = _repair_basis(field, enc.row(failed), spec)
-        blocks.append(_apply(field, basis.T, slice_))
-    return RepairMessage(failed=failed, helper=share.index, modes=modes, blocks=tuple(blocks))
+        blocks = split_blocks(_apply(field, plan.T, share.payload), tree.widths)
+    else:
+        blocks = []
+        for spec, start in zip(tree.segments, tree.offsets):
+            slice_ = share.payload[start:start + binomial(tree.d, spec.mode)]
+            basis, _ = _repair_basis(field, enc.row(failed), spec)
+            blocks.append(_apply(field, basis.T, slice_))
+    return RepairMessage(failed=failed, helper=share.index, modes=tree.modes,
+                         blocks=tuple(blocks))
 
 
 def regenerate_node(
@@ -325,16 +315,19 @@ def regenerate_node(
 ) -> NodeShare:
     """Rebuild the failed node's share from d helper messages, exactly.
 
-    Per segment, the decompressed helper rows stack to Psi[H,:] . fQ . Lambda;
-    left-multiplying by Psi[H,:]^-1 yields the repair space R(fQ). Column I
-    of the failed row is then the alternating sum of R(fQ) entries, minus the
-    parent correction R(fP)_{x, I+B} when I and B are disjoint (the root
-    needs no correction). Message blocks with a trailing stripe axis give a
-    payload that carries it.
+    The messages stack to Psi[H,:] . Q, Q holding fQ . Lambda[:, P] per
+    segment fQ; one product with Psi[H,:]^-1 yields Q, and each segment's
+    block times its T (Lambda = Lambda[:, P] . T) is the repair space
+    R(fQ) = fQ . Lambda. Segments run in tree order, so a parent's space is
+    ready for its children: column I of the failed row is the alternating
+    sum of R(fQ) entries, minus the parent correction R(fP)_{x, I+B} when I
+    and B are disjoint (the root needs no correction). Message blocks with a
+    trailing stripe axis give a payload that carries it.
 
     Raises:
         ValueError: Unless exactly d distinct helpers, none equal to the
-            failed node, with one matching message each.
+            failed node, with one matching message each whose modes and
+            block widths are the tree's.
     """
     field = enc.field
     d = tree.d
@@ -348,23 +341,23 @@ def regenerate_node(
         if msg.helper != h or msg.failed != failed:
             raise ValueError(f"message from node {msg.helper} for node {msg.failed} "
                              f"does not match helper {h} repairing {failed}")
-    psi_h_inv = mat_inverse(field, enc.rows(helpers))
-    stripes = np.shape(messages[0].blocks[0])[1:]
+        if (tuple(msg.modes) != tree.modes
+                or tuple(len(block) for block in msg.blocks) != tree.widths):
+            raise ValueError(f"message from helper {h} does not match the tree's "
+                             "segment modes and block widths")
+    stacked = np.stack([np.concatenate(msg.blocks) for msg in messages])
+    # Q = Psi[H,:]^-1 . stacked depends on no helper; laid out as
+    # (beta, d[, stripes]), it splits into one block per segment
+    q_blocks = np.swapaxes(_apply(field, mat_inverse(field, enc.rows(helpers)), stacked), 0, 1)
+    stripes = stacked.shape[2:]
 
-    spaces: list[NDArray[np.int64]] = []
-    for spec in tree.segments:
+    payload = np.zeros((tree.alpha,) + stripes, dtype=np.int64)
+    spaces: list[NDArray] = []
+    for spec, start, block in zip(tree.segments, tree.offsets,
+                                  split_blocks(q_blocks, tree.widths)):
         _, t = _repair_basis(field, enc.row(failed), spec)
-        stacked = np.stack([
-            _apply(field, t.T, np.asarray(msg.blocks[spec.segment_id]))
-            for msg in messages
-        ])
-        spaces.append(_apply(field, psi_h_inv, stacked))
-
-    offsets, alpha = segment_offsets(tree)
-    payload = np.zeros((alpha,) + stripes, dtype=np.int64)
-    for spec in tree.segments:
-        start = offsets[spec.segment_id]
-        space = spaces[spec.segment_id]
+        space = np.swapaxes(_apply(field, t.T, block), 0, 1)
+        spaces.append(space)
         for c, i_set in enumerate(subsets_lex(d, spec.mode)):
             value = det_repair_symbol(field, space, i_set, spec.signature)
             if not spec.is_root:
@@ -412,9 +405,9 @@ def recover_data(
     entries are read back out of the already-decoded child's injection
     matrix, nulled entries are zero, and parity entries are rebuilt from
     their group plus, when the segment's own injection pair admits one, the
-    injected symbol fetched from a decoded sibling. Top rows then follow by
-    inverting the k x k encoder block against the observed codewords. Each
-    finished segment is split into (eS, Delta) for its parents' and
+    injected symbol fetched from a decoded sibling. Top rows then follow
+    from Gamma_K^-1 . observed and Gamma_K^-1 . Upsilon_K, each made once
+    per call, and the column's bottom rows. Each finished segment is split into (eS, Delta) for its parents' and
     siblings' lookups, and the file is read out of the eS matrices.
 
     Args:
@@ -435,39 +428,33 @@ def recover_data(
     if sorted(by_index) != sorted(observers):
         raise ValueError("shares do not match the observer set")
     order_k = sorted(observers)
-    offsets, alpha = segment_offsets(tree)
-    if any(len(by_index[i].payload) != alpha for i in order_k):
-        raise ValueError(f"each share must carry {alpha} elements")
-    observed = np.stack([by_index[i].payload for i in order_k])
-    stripes = observed.shape[2:]
-
-    gamma_k = enc.gamma(k)[[i - 1 for i in order_k]]
-    upsilon_k = enc.upsilon(k)[[i - 1 for i in order_k]]
-    gamma_inv = mat_inverse(field, gamma_k)
+    if any(len(by_index[i].payload) != tree.alpha for i in order_k):
+        raise ValueError(f"each share must carry {tree.alpha} elements")
+    # observed = Gamma_K . top + Upsilon_K . bottom, so column by column
+    # top = G . observed - (G . Upsilon_K) . bottom with G = Gamma_K^-1
+    rows = [i - 1 for i in order_k]
+    gamma_inv = mat_inverse(field, enc.gamma(k)[rows])
+    g_observed = _apply(field, gamma_inv, np.stack([by_index[i].payload for i in order_k]))
+    g_upsilon = mat_mul(field, gamma_inv, enc.upsilon(k)[rows])
+    stripes = g_observed.shape[2:]
 
     extracted: dict[int, NDArray[np.int64]] = {}
     injections: dict[int, NDArray[np.int64]] = {}
 
-    for sid in sorted(range(len(tree)), key=lambda s: (tree.segment(s).mode, s)):
+    for sid in sorted(range(len(tree)), key=lambda s: (tree.modes[s], s)):
         spec = tree.segment(sid)
-        m = spec.mode
-        cols = subsets_lex(d, m)
+        cols = subsets_lex(d, spec.mode)
         mat = np.zeros((d, len(cols)) + stripes, dtype=np.int64)
-        col_obs = observed[:, offsets[sid]:offsets[sid] + len(cols)]
         for c in reversed(range(len(cols))):
             i_set = cols[c]
             for x in range(k + 1, d + 1):
                 mat[x - 1, c] = _bottom_entry(field, tree, spec, i_set, x, mat, injections)
-            # top rows: undo the k x k encoder block against the observation
-            rhs = field.sub(col_obs[:, c], _apply(field, upsilon_k, mat[k:, c]))
-            mat[:k, c] = _apply(field, gamma_inv, rhs)
-        e_mat, delta = extract_injection(field, spec, mat)
-        extracted[sid] = e_mat
-        injections[sid] = delta
+            mat[:k, c] = field.sub(g_observed[:, tree.offsets[sid] + c],
+                                   _apply(field, g_upsilon, mat[k:, c]))
+        extracted[sid], injections[sid] = extract_injection(field, spec, mat)
 
-    layout = layout_from_tree(tree)
-    out = np.zeros((len(layout),) + stripes, dtype=np.int64)
-    for pos, (sid, sym) in enumerate(layout):
+    out = np.zeros((len(tree.layout),) + stripes, dtype=np.int64)
+    for pos, (sid, sym) in enumerate(tree.layout):
         sign = field.signed_unit(tree.segment(sid).signature[sym.x - 1])
         out[pos] = field.mul(sign, extracted[sid][symbol_position(d, sym)])
     return out
@@ -534,7 +521,7 @@ def repair_overlap_dim(
     if len({helper, failed_a, failed_b}) != 3:
         raise ValueError("helper and the two failed nodes must be distinct")
     field = enc.field
-    unit_files = np.eye(len(layout_from_tree(tree)), dtype=np.int64)
+    unit_files = np.eye(len(tree.layout), dtype=np.int64)
     sm = build_super_message(field, tree.k, tree.d, tree.mu, unit_files)
     # column j of the helper's share is its share of unit file j
     share = encode(enc, sm)[helper - 1]

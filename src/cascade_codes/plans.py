@@ -18,7 +18,6 @@ from .codec import (
     RepairMessage,
     encode,
     helper_repair_message,
-    message_widths,
     recover_data,
     regenerate_node,
     semi_systematize,
@@ -133,10 +132,9 @@ def regenerate_plan(key: CodeKey, failed: int, helpers: tuple[int, ...]) -> NDAr
     p = code_system(key).params
 
     def run(s: CodeSystem, unit):
-        modes = tuple(spec.mode for spec in s.tree.segments)
-        widths = message_widths(s.tree)
-        messages = [RepairMessage(failed=failed, helper=h, modes=modes,
-                                  blocks=split_blocks(unit[j * p.beta:(j + 1) * p.beta], widths))
+        messages = [RepairMessage(failed=failed, helper=h, modes=s.tree.modes,
+                                  blocks=split_blocks(unit[j * p.beta:(j + 1) * p.beta],
+                                                      s.tree.widths))
                     for j, h in enumerate(helpers)]
         return [regenerate_node(s.enc, s.tree, failed, list(helpers), messages).payload]
 

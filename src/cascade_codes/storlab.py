@@ -14,7 +14,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .cascade import build_super_message, build_tree
+from .cascade import build_super_message
+# unused here, but bound so that perfbench/spans.py, which rebinds build_tree
+# by name in this module and in cascade, finds it
+from .cascade import build_tree  # noqa: F401
 from .codec import (
     NodeShare,
     RepairMessage,
@@ -376,7 +379,7 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
     system = code_system(CodeKey(q, n, k, d, mu, False))
     field, enc, params = system.field, system.enc, system.params
     rng = random.Random(seed)
-    tree = build_tree(k, d, mu)
+    tree = system.tree
     file_symbols = [rng.randrange(field.q) for _ in range(params.file_size)]
     results: list[tuple[str, bool, str]] = []
 
@@ -454,8 +457,8 @@ def _parse_nodes(text: str) -> list[int]:
 
 def _cmd_params(args) -> int:
     k, d = args.k, args.d
-    if args.mu is None and not (args.all_modes or args.curve):
-        print("params: give a mode, --all-modes, or --curve", file=sys.stderr)
+    if (args.mu is not None) == (args.all_modes or args.curve):
+        print("params: give a mode, or --all-modes or --curve, but not both", file=sys.stderr)
         return 2
     if args.mu is None:
         code_params(k, d, 1)  # checks 1 <= k <= d, even when 1..k is empty

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cascade_codes.cascade import (
     build_super_message,
@@ -13,13 +14,15 @@ from cascade_codes.cascade import (
     child_signature,
     enumerate_injection_pairs,
     injection_matrix,
-    layout_from_tree,
     segment_offsets,
 )
 from cascade_codes.combin import binomial, subset_rank, subsets_lex
 from cascade_codes.detseg import SymbolId, build_pre_injection, free_symbols
+from cascade_codes.detseg import symbol_position
 from cascade_codes.fqlinalg import PrimeField
+from cascade_codes.params import code_params
 from oracles import oracle_t_sequence
+from oracles import oracle_binomial
 
 
 def test_enumerate_injection_pairs_order():
@@ -187,20 +190,44 @@ def test_segment_offsets_cover_alpha():
 
 
 def test_file_symbol_layout_sizes():
-    assert len(layout_from_tree(build_tree(4, 6, 4))) == 324
+    assert len(build_tree(4, 6, 4).layout) == 324
     for k in range(1, 6):
         for d in range(k, 7):
-            assert len(layout_from_tree(build_tree(k, d, 1))) == k * (2 * d - k + 1) // 2
-    layout = layout_from_tree(build_tree(3, 5, 2))
+            assert len(build_tree(k, d, 1).layout) == k * (2 * d - k + 1) // 2
+    layout = build_tree(3, 5, 2).layout
     assert len(set(layout)) == len(layout)
     for sid, sym in layout:
         assert sym in free_symbols(3, 5, build_tree(3, 5, 2).segment(sid).mode)
 
 
+LAYOUT_POINTS = [(k, d, mu) for k in range(1, 6) for d in range(k, 8)
+                 for mu in range(1, k + 1)]
+
+
+# Hypothesis stops once every point has been drawn, so this covers them all
+@settings(max_examples=2 * len(LAYOUT_POINTS), deadline=None)
+@given(st.sampled_from(LAYOUT_POINTS))
+def test_tree_layout_fields(point):
+    k, d, mu = point
+    tree = build_tree(k, d, mu)
+    params = code_params(k, d, mu)
+    sizes = [oracle_binomial(d, spec.mode) for spec in tree.segments]
+    assert tree.modes == tuple(spec.mode for spec in tree.segments)
+    assert list(tree.offsets) == [sum(sizes[:sid]) for sid in range(len(tree))]
+    assert tree.alpha == sum(sizes) == params.alpha
+    assert tree.widths == tuple(oracle_binomial(d - 1, m - 1) for m in tree.modes)
+    assert sum(tree.widths) == params.beta
+    assert len(tree.layout) == params.file_size
+    assert list(tree.layout) == [(spec.segment_id, sym) for spec in tree.segments
+                                 for sym in free_symbols(k, d, spec.mode)]
+    positions = {(sid, symbol_position(d, sym)) for sid, sym in tree.layout}
+    assert len(positions) == len(tree.layout)
+
+
 def test_build_super_message_shapes_and_zero():
     field = PrimeField(7)
     sm = build_super_message(field, 4, 6, 4, [0] * 324)
-    assert sm.alpha == 81
+    assert sm.tree.alpha == 81
     assert sm.matrix.shape == (6, 81)
     assert not sm.matrix.any()
     with pytest.raises(ValueError):
@@ -213,7 +240,7 @@ def test_build_super_message_segment_columns():
     data = [rng.randrange(7) for _ in range(324)]
     sm = build_super_message(field, 4, 6, 4, data)
     offsets, alpha = segment_offsets(sm.tree)
-    assert alpha == sm.alpha
+    assert alpha == sm.matrix.shape[1]
     for sid in range(len(sm.tree)):
         start = offsets[sid]
         stop = start + binomial(6, sm.tree.segment(sid).mode)
@@ -227,7 +254,7 @@ def test_build_super_message_preserves_file_symbols():
     rng = random.Random(33)
     data = [rng.randrange(7) for _ in range(324)]
     sm = build_super_message(field, 4, 6, 4, data)
-    layout = layout_from_tree(sm.tree)
+    layout = sm.tree.layout
     for value, (sid, sym) in zip(data, layout):
         spec = sm.tree.segment(sid)
         if sym.kind == "v":

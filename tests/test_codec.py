@@ -151,6 +151,23 @@ def test_regenerate_node_validation():
         regenerate_node(enc, tree, 1, [2, 3, 4, 6], messages)
 
 
+def test_regenerate_node_rejects_misplaced_blocks():
+    # the messages are concatenated and re-split by the tree's widths, so a
+    # block under the wrong mode or in the wrong segment must be refused
+    field, enc, tree, data, sm, shares = _system(8, 4, 6, 4, q=257)
+    helpers = [1, 3, 4, 5, 6, 7]
+    messages = [helper_repair_message(enc, tree, shares[h - 1], 2) for h in helpers]
+    good = messages[2]
+    j = next(s for s, block in enumerate(good.blocks) if len(block) != len(good.blocks[0]))
+    swapped = list(good.blocks)
+    swapped[0], swapped[j] = swapped[j], swapped[0]
+    for bad in (RepairMessage(2, 4, tuple(reversed(good.modes)), good.blocks),
+                RepairMessage(2, 4, good.modes, tuple(swapped))):
+        messages[2] = bad
+        with pytest.raises(ValueError, match="from helper 4 "):
+            regenerate_node(enc, tree, 2, helpers, messages)
+
+
 def test_regenerate_node_exhaustive_small():
     field, enc, tree, data, sm, shares = _system(6, 3, 4, 2, seed=7)
     for failed in range(1, 7):

@@ -445,6 +445,12 @@ def test_cli_params(capsys):
     assert "give a mode" in capsys.readouterr().err
     assert main(["params", "4", "3", "--all-modes"]) == 2
     assert "error" in capsys.readouterr().err.lower()
+    # an explicit mode cannot silently override a table of all modes
+    for flag in ("--all-modes", "--curve"):
+        assert main(["params", "4", "6", "2", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not both" in captured.err
     # k = 0 leaves no mode to tabulate: an error, not an empty table
     for flag in ("--all-modes", "--curve"):
         assert main(["params", "0", "5", flag]) == 2
