@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -14,6 +15,7 @@ from numpy.typing import NDArray
 from .combin import Subset, binomial, ind_count, subset_rank, subsets_lex
 from .detseg import SegmentSpec, SymbolId, build_pre_injection, free_symbols
 from .fqlinalg import Field
+from .params import code_params
 
 InjectionPair = tuple[int, Subset]
 
@@ -105,6 +107,7 @@ class HierarchyTree:
         return {m: self.modes.count(m) for m in dict.fromkeys(self.modes)}
 
 
+@cache  # a tree is an immutable value of (k, d, mu)
 def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
     """Expand the injection tree breadth-first from a mode-mu root.
 
@@ -113,8 +116,7 @@ def build_tree(k: int, d: int, mu: int) -> HierarchyTree:
     Raises:
         ValueError: Unless 1 <= mu <= k <= d.
     """
-    if not 1 <= mu <= k <= d:
-        raise ValueError(f"need 1 <= mu <= k <= d, got (k, d, mu) = ({k}, {d}, {mu})")
+    code_params(k, d, mu)  # checks 1 <= mu <= k <= d
     segments = [SegmentSpec(0, k, d, mu, (0,) * d)]
     pair_index: dict[tuple[int, InjectionPair], int] = {}
     head = 0

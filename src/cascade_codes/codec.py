@@ -315,13 +315,8 @@ def regenerate_node(
 ) -> NodeShare:
     """Rebuild the failed node's share from d helper messages, exactly.
 
-    The messages stack to Psi[H,:] . Q, Q holding fQ . Lambda[:, P] per
-    segment fQ; one product with Psi[H,:]^-1 yields Q, and each segment's
-    block times its T (Lambda = Lambda[:, P] . T) is the repair space
-    R(fQ) = fQ . Lambda. Segments run in tree order, so a parent's space is
-    ready for its children: column I of the failed row is the alternating
-    sum of R(fQ) entries, minus the parent correction R(fP)_{x, I+B} when I
-    and B are disjoint (the root needs no correction). Message blocks with a
+    The messages stack to Psi[H,:] . Q; one product with Psi[H,:]^-1 yields
+    Q, which :func:`rebuild_payload` maps to the share. Message blocks with a
     trailing stripe axis give a payload that carries it.
 
     Raises:
@@ -329,7 +324,6 @@ def regenerate_node(
             failed node, with one matching message each whose modes and
             block widths are the tree's.
     """
-    field = enc.field
     d = tree.d
     if len(helpers) != d or len(set(helpers)) != d:
         raise ValueError(f"need exactly d = {d} distinct helpers")
@@ -346,15 +340,28 @@ def regenerate_node(
             raise ValueError(f"message from helper {h} does not match the tree's "
                              "segment modes and block widths")
     stacked = np.stack([np.concatenate(msg.blocks) for msg in messages])
-    # Q = Psi[H,:]^-1 . stacked depends on no helper; laid out as
-    # (beta, d[, stripes]), it splits into one block per segment
-    q_blocks = np.swapaxes(_apply(field, mat_inverse(field, enc.rows(helpers)), stacked), 0, 1)
-    stripes = stacked.shape[2:]
+    q = _apply(enc.field, mat_inverse(enc.field, enc.rows(helpers)), stacked)
+    return NodeShare(index=failed, payload=rebuild_payload(enc, tree, failed, q))
 
-    payload = np.zeros((tree.alpha,) + stripes, dtype=np.int64)
+
+def rebuild_payload(enc: EncoderMatrix, tree: HierarchyTree, failed: int,
+                    q: NDArray) -> NDArray[np.int64]:
+    """The failed node's payload from Q = Psi[H,:]^-1 . messages.
+
+    Q, shaped (d, beta[, stripes]), holds fQ . Lambda[:, P] per segment fQ
+    and depends on no helper. With Lambda = Lambda[:, P] . T, each block
+    times its T is the repair space R(fQ) = fQ . Lambda, made in tree order
+    so a parent's is ready for its children: column I of the failed row is
+    the alternating sum of R(fQ) entries, minus the parent correction
+    R(fP)_{x, I+B} when I and B are disjoint (the root needs none).
+    """
+    field = enc.field
+    d = tree.d
+    payload = np.zeros((tree.alpha,) + q.shape[2:], dtype=np.int64)
     spaces: list[NDArray] = []
+    # laid out as (beta, d[, stripes]), Q splits into one block per segment
     for spec, start, block in zip(tree.segments, tree.offsets,
-                                  split_blocks(q_blocks, tree.widths)):
+                                  split_blocks(np.swapaxes(q, 0, 1), tree.widths)):
         _, t = _repair_basis(field, enc.row(failed), spec)
         space = np.swapaxes(_apply(field, t.T, block), 0, 1)
         spaces.append(space)
@@ -367,7 +374,7 @@ def regenerate_node(
                     correction = spaces[spec.parent_id][x - 1, parent_col]
                     value = field.sub(value, correction)
             payload[start + c] = value
-    return NodeShare(index=failed, payload=payload)
+    return payload
 
 
 def extract_injection(

@@ -108,11 +108,6 @@ def free_symbols(k: int, d: int, mode: int) -> list[SymbolId]:
     return out
 
 
-def free_symbol_count(k: int, d: int, mode: int) -> int:
-    """F_m - N_m: stored symbols of one segment after nulling."""
-    return mode * (binomial(d + 1, mode + 1) - binomial(d - k + 1, mode + 1))
-
-
 def symbol_position(d: int, sym: SymbolId) -> tuple[int, int]:
     """(row, column) of a free symbol in its segment's d-row matrix.
 

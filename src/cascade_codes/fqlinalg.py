@@ -52,7 +52,6 @@ class PrimeField:
         if not is_prime(q):
             raise ValueError(f"field order q={q} is not prime")
         self.q = q
-        self.characteristic = q
         self.dtype = _narrowest_dtype(q)
 
     def __repr__(self) -> str:
@@ -124,7 +123,6 @@ class BinaryField:
             )
         self.s = s
         self.q = 1 << s
-        self.characteristic = 2
         self.dtype = np.dtype(np.uint8)
         poly = _IRREDUCIBLE_POLY[s]
         exp = np.zeros(2 * self.q, dtype=np.int64)

@@ -15,26 +15,24 @@ from .cascade import HierarchyTree, build_super_message, build_tree
 from .codec import (
     EncoderMatrix,
     NodeShare,
-    RepairMessage,
     encode,
     helper_repair_message,
+    rebuild_payload,
     recover_data,
-    regenerate_node,
     semi_systematize,
-    split_blocks,
     vandermonde_encoder,
 )
-from .fqlinalg import Field, field_for_order
+from .fqlinalg import Field, field_for_order, mat_inverse, mat_mul
 from .params import CodeParams, code_params
 
 # plans kept per kind; a repair plan is keyed by its helper set, so an
 # unbounded cache would grow with every distinct set
 CACHE_SIZE = 64
-# identity columns per reference pass are chosen so that one d x alpha x
-# width int64 message matrix fits in this many bytes; a pass keeps about
-# five such arrays alive. At (8,4,6,4), q = 257, this compiles the four
-# plans in about 0.2 s within the per-stripe path's peak RSS; 512 KiB
-# compiles in 0.15 s but peaks 1 MiB higher
+# identity columns per compile pass: one d x alpha x width int64 array (the
+# super-message M) fits in this many bytes. An encode pass holds M, its
+# segments before and after injection and the codewords; at (8,4,6,4),
+# q = 257, an encode compile peaks at 1.5 MiB traced and a recover compile
+# at 1.0 MiB. 512 KiB compiles faster but peaks at 2.8 and 2.1 MiB
 _PASS_BUDGET = 192 * 1024
 
 
@@ -77,21 +75,14 @@ def code_system(key: CodeKey) -> CodeSystem:
 
 
 def _compile(key: CodeKey, rows: int, cols: int, run) -> NDArray:
-    # plan[j] is the image of unit vector j. `run` maps a block of identity
-    # columns (rows x w) to output pieces of shape (r_i, w) whose r_i sum to
-    # cols; each piece is written straight into the plan
+    # plan[j] is the image of unit vector j: `run` maps a block of identity
+    # columns (rows x w) to their images (cols x w)
     system = code_system(key)
-    per_column = 8 * key.d * system.params.alpha
-    width = max(1, _PASS_BUDGET // per_column)
+    width = max(1, _PASS_BUDGET // (8 * key.d * system.params.alpha))
     plan = np.empty((rows, cols), dtype=system.field.dtype)
     for start in range(0, rows, width):
-        stop = min(rows, start + width)
-        unit = np.zeros((rows, stop - start), dtype=np.int64)
-        unit[np.arange(start, stop), np.arange(stop - start)] = 1
-        col = 0
-        for piece in run(system, unit):
-            plan[start:stop, col:col + len(piece)] = piece.T
-            col += len(piece)
+        unit = np.eye(rows, min(width, rows - start), -start, dtype=np.int64)
+        plan[start:start + width] = run(system, unit).T
     plan.flags.writeable = False
     return plan
 
@@ -99,12 +90,11 @@ def _compile(key: CodeKey, rows: int, cols: int, run) -> NDArray:
 @lru_cache(maxsize=CACHE_SIZE)
 def encode_plan(key: CodeKey) -> NDArray:
     """F x (n * alpha): file stripe -> the n shares' payloads, node by node."""
-    system = code_system(key)
-    p = system.params
+    p = code_system(key).params
 
     def run(s: CodeSystem, unit):
         sm = build_super_message(s.field, key.k, key.d, key.mu, unit)
-        return [share.payload for share in encode(s.enc, sm)]
+        return np.concatenate([share.payload for share in encode(s.enc, sm)])
 
     return _compile(key, p.file_size, key.n * p.alpha, run)
 
@@ -120,7 +110,7 @@ def helper_plan(key: CodeKey, failed: int) -> NDArray:
 
     def run(s: CodeSystem, unit):
         share = NodeShare(index=2 if failed == 1 else 1, payload=unit)
-        return list(helper_repair_message(s.enc, s.tree, share, failed).blocks)
+        return np.concatenate(helper_repair_message(s.enc, s.tree, share, failed).blocks)
 
     return _compile(key, p.alpha, p.beta, run)
 
@@ -129,16 +119,15 @@ def helper_plan(key: CodeKey, failed: int) -> NDArray:
 def regenerate_plan(key: CodeKey, failed: int, helpers: tuple[int, ...]) -> NDArray:
     """(d * beta) x alpha: the helpers' messages, in the given helper order
     and each in segment order, -> the failed node's payload."""
-    p = code_system(key).params
+    system = code_system(key)
+    # the one step that depends on the helpers, made once per plan
+    inverse = mat_inverse(system.field, system.enc.rows(helpers))
 
     def run(s: CodeSystem, unit):
-        messages = [RepairMessage(failed=failed, helper=h, modes=s.tree.modes,
-                                  blocks=split_blocks(unit[j * p.beta:(j + 1) * p.beta],
-                                                      s.tree.widths))
-                    for j, h in enumerate(helpers)]
-        return [regenerate_node(s.enc, s.tree, failed, list(helpers), messages).payload]
+        q = mat_mul(s.field, inverse, unit.reshape(key.d, -1)).reshape(key.d, s.params.beta, -1)
+        return rebuild_payload(s.enc, s.tree, failed, q)
 
-    return _compile(key, key.d * p.beta, p.alpha, run)
+    return _compile(key, key.d * system.params.beta, system.params.alpha, run)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -150,6 +139,6 @@ def recover_plan(key: CodeKey, observers: tuple[int, ...]) -> NDArray:
     def run(s: CodeSystem, unit):
         shares = [NodeShare(index=node, payload=unit[j * p.alpha:(j + 1) * p.alpha])
                   for j, node in enumerate(observers)]
-        return [recover_data(s.enc, s.tree, list(observers), shares)]
+        return recover_data(s.enc, s.tree, list(observers), shares)
 
     return _compile(key, key.k * p.alpha, p.file_size, run)

@@ -81,6 +81,14 @@ def symbols_to_bytes(symbols: NDArray[np.int64]) -> bytes:
     return arr.astype(np.uint8).tobytes()
 
 
+def _check_header(n: int, k: int, d: int, mu: int, q: int, node: int) -> None:
+    # the one rule for what a share header can hold
+    if not all(0 < v < 256 for v in (n, k, d, mu, node)):
+        raise ValueError("n, k, d, mu and the node index must lie in 1..255")
+    if not 1 < q < 65536:
+        raise ValueError("field order must fit in two bytes")
+
+
 def write_share_file(path: Path, n: int, k: int, d: int, mu: int, q: int,
                      node: int, payload: NDArray[np.int64]) -> None:
     """Serialize one node's (possibly multi-stripe) payload.
@@ -91,10 +99,7 @@ def write_share_file(path: Path, n: int, k: int, d: int, mu: int, q: int,
     Raises:
         ValueError: On header fields or elements that do not fit the format.
     """
-    if not all(0 < v < 256 for v in (n, k, d, mu, node)):
-        raise ValueError("n, k, d, mu, and node index must fit in one byte")
-    if not 1 < q < 65536:
-        raise ValueError("field order must fit in two bytes")
+    _check_header(n, k, d, mu, q, node)
     header = SHARE_MAGIC + bytes((SHARE_VERSION, n, k, d, mu)) + q.to_bytes(2, "big")
     arr = np.asarray(payload)
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
@@ -220,6 +225,7 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     """
     if q is None:
         q = default_cli_order(n)
+    _check_header(n, k, d, mu, q, n)  # node indices run up to n
     key = CodeKey(q, n, k, d, mu, bool(semi_systematic))
     system = code_system(key)
     symbols = bytes_to_symbols(input_path.read_bytes(), q)
@@ -412,9 +418,11 @@ def run_verify(k: int, d: int, mu: int, n: int, q: int, exhaustive: bool = False
     subsets = list(itertools.combinations(range(1, n + 1), k))
     if not exhaustive:
         cases, subsets = [rng.choice(cases)], [rng.choice(subsets)]
+    # a helper's message toward f is the same in every helper set
+    message = lru_cache(None)(lambda h, f: helper_repair_message(enc, tree, shares[h - 1], f))
     repair_ok, bandwidth_ok = True, True
     for f, helpers in cases:
-        messages = [helper_repair_message(enc, tree, shares[h - 1], f) for h in helpers]
+        messages = [message(h, f) for h in helpers]
         if any(msg.total_symbols != params.beta for msg in messages):
             bandwidth_ok = False
         rebuilt = regenerate_node(enc, tree, f, helpers, messages)

@@ -17,6 +17,7 @@ from cascade_codes.codec import (
     encoder_conditions_hold,
     extract_injection,
     helper_repair_message,
+    rebuild_payload,
     recover_data,
     regenerate_node,
     repair_overlap_dim,
@@ -25,7 +26,13 @@ from cascade_codes.codec import (
 )
 from cascade_codes.combin import binomial
 from cascade_codes.detseg import repair_encoder
-from cascade_codes.fqlinalg import PrimeField, field_for_order, mat_mul, mat_rank
+from cascade_codes.fqlinalg import (
+    PrimeField,
+    field_for_order,
+    mat_inverse,
+    mat_mul,
+    mat_rank,
+)
 from cascade_codes.params import code_params, overlap_dimension_formula
 
 
@@ -315,3 +322,34 @@ def test_repair_basis_splits_the_repair_encoder(point, q):
             assert np.array_equal(t[:, pivots], np.eye(len(pivots)))
             assert np.array_equal(basis, lam[:, pivots])
             assert np.array_equal(mat_mul(field, basis, t), lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(7, 3, 4, 2, False), (256, 3, 4, 2, False), (256, 3, 4, 2, True),
+                        (257, 4, 5, 3, True), (16, 2, 3, 1, False)]),
+       st.data())
+def test_undoing_psi_h_leaves_a_helper_independent_q(case, data):
+    # Psi[H,:]^-1 . messages is the same Q for every helper set H of one
+    # failed node, and rebuild_payload maps that Q to the lost share
+    q, k, d, mu, semi = case
+    n = d + 2
+    field = field_for_order(q)
+    enc = vandermonde_encoder(field, n, d)
+    if semi:
+        enc = semi_systematize(enc, k)
+    tree = build_tree(k, d, mu)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    file_symbols = [rng.randrange(q) for _ in range(len(tree.layout))]
+    shares = encode(enc, build_super_message(field, k, d, mu, file_symbols))
+    failed = data.draw(st.integers(1, n), label="failed")
+    others = [h for h in range(1, n + 1) if h != failed]
+    first, second = data.draw(st.lists(st.sampled_from(list(itertools.combinations(others, d))),
+                                       min_size=2, max_size=2, unique=True), label="helper sets")
+    qs = []
+    for helpers in (first, second):
+        stacked = np.stack([np.concatenate(helper_repair_message(enc, tree, shares[h - 1],
+                                                                 failed).blocks)
+                            for h in helpers])
+        qs.append(mat_mul(field, mat_inverse(field, enc.rows(helpers)), stacked))
+    assert np.array_equal(qs[0], qs[1])
+    assert np.array_equal(rebuild_payload(enc, tree, failed, qs[0]), shares[failed - 1].payload)

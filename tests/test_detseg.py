@@ -20,7 +20,6 @@ from cascade_codes.detseg import (
     build_pre_injection,
     classify_entry,
     det_repair_symbol,
-    free_symbol_count,
     free_symbols,
     parity_entry,
     repair_encoder,
@@ -96,7 +95,6 @@ def test_free_symbol_count_formula():
             for m in range(0, d + 1):
                 want = m * (binomial(d + 1, m + 1) - binomial(d - k + 1, m + 1))
                 assert len(free_symbols(k, d, m)) == want
-                assert free_symbol_count(k, d, m) == want
 
 
 def test_parity_value_examples():

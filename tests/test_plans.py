@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cascade_codes import plans
-from cascade_codes.cascade import build_super_message
+from cascade_codes.cascade import build_super_message, build_tree
 from cascade_codes.codec import (
     NodeShare,
     RepairMessage,
@@ -187,6 +187,16 @@ def test_every_failed_node_repairs(tmp_path):
         back = tmp_path / "back.bin"
         recover_file(manifest, back, out, nodes=[1, 5, 7])
         assert back.read_bytes() == data
+
+
+def test_a_cold_encode_compile_builds_the_tree_once():
+    # the tree is a value of (k, d, mu): code_system builds it and every
+    # compile pass's super-message reuses it
+    key = plans.CodeKey(257, 8, 4, 6, 4, False)
+    for fn in (build_tree, plans.code_system, plans.encode_plan):
+        fn.cache_clear()
+    plans.encode_plan(key)
+    assert build_tree.cache_info().misses == 1
 
 
 def test_plans_are_narrow_and_read_only():

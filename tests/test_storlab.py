@@ -173,6 +173,19 @@ def test_encode_file_parameter_errors(tmp_path):
         encode_file(src, tmp_path / "o2", 6, 3, 4, 2, q=5)
 
 
+@pytest.mark.parametrize("n, q, named", [(300, None, "1..255"), (6, 65537, "two bytes")])
+def test_encode_file_refuses_what_a_share_cannot_hold_before_any_work(
+        tmp_path, monkeypatch, n, q, named):
+    # the share header holds n, k, d, mu in one byte and q in two: encode
+    # refuses before it compiles a plan or makes the share directory
+    src = tmp_path / "x.bin"
+    src.write_bytes(b"hello")
+    monkeypatch.setattr(storlab, "code_system", None)  # any use would raise TypeError
+    with pytest.raises(ValueError, match=named):
+        encode_file(src, tmp_path / "wide", n, 3, 4, 2, q=q)
+    assert not (tmp_path / "wide").exists()
+
+
 @pytest.mark.parametrize("name, value", [
     ("format", "other"), ("version", 9), ("encoder", "cauchy"),
     ("alpha", 8), ("beta", 4), ("file_symbols", 999),
