@@ -55,19 +55,15 @@ class EncoderMatrix:
 
     def row(self, i: int) -> NDArray[np.int64]:
         """Row of node i, 1-based."""
-        return self.psi[i - 1]
+        return self.rows([i])[0]
 
     def rows(self, indices: Sequence[int]) -> NDArray[np.int64]:
-        """Stacked rows of the given 1-based node indices, in the given order."""
+        """Stacked rows of the given node indices, each in 1..n (else
+        ValueError), in the given order."""
+        for i in indices:
+            if not 1 <= i <= self.n:
+                raise ValueError(f"node {i} out of range 1..{self.n}")
         return self.psi[[i - 1 for i in indices]]
-
-    def gamma(self, k: int) -> NDArray[np.int64]:
-        """Left n x k block."""
-        return self.psi[:, :k]
-
-    def upsilon(self, k: int) -> NDArray[np.int64]:
-        """Right n x (d-k) block."""
-        return self.psi[:, k:]
 
 
 @dataclass(frozen=True)
@@ -120,12 +116,11 @@ def encoder_conditions_hold(enc: EncoderMatrix, k: int) -> bool:
     """Exhaustively check E1 (k x k minors of Gamma) and E2 (d x d minors of Psi)."""
     field = enc.field
     n, d = enc.n, enc.d
-    gamma = enc.gamma(k)
-    for rows in itertools.combinations(range(n), k):
-        if mat_rank(field, gamma[list(rows)]) != k:
+    for rows in itertools.combinations(range(1, n + 1), k):
+        if mat_rank(field, enc.rows(rows)[:, :k]) != k:
             return False
-    for rows in itertools.combinations(range(n), d):
-        if mat_rank(field, enc.psi[list(rows)]) != d:
+    for rows in itertools.combinations(range(1, n + 1), d):
+        if mat_rank(field, enc.rows(rows)) != d:
             return False
     return True
 
@@ -312,6 +307,7 @@ def regenerate_node(
     failed: int,
     helpers: Sequence[int],
     messages: Sequence[RepairMessage],
+    plan: NDArray | None = None,
 ) -> NodeShare:
     """Rebuild the failed node's share from d helper messages, exactly.
 
@@ -319,12 +315,16 @@ def regenerate_node(
     Q, which :func:`rebuild_payload` maps to the share. Message blocks with a
     trailing stripe axis give a payload that carries it.
 
+    Args:
+        plan: plans.regenerate_plan of this failed node and helper order;
+            when given, one product with it replaces both steps.
+
     Raises:
         ValueError: Unless exactly d distinct helpers, none equal to the
             failed node, with one matching message each whose modes and
-            block widths are the tree's.
+            block widths are the tree's and whose symbols lie in GF(q).
     """
-    d = tree.d
+    field, d = enc.field, tree.d
     if len(helpers) != d or len(set(helpers)) != d:
         raise ValueError(f"need exactly d = {d} distinct helpers")
     if failed in helpers:
@@ -339,8 +339,18 @@ def regenerate_node(
                 or tuple(len(block) for block in msg.blocks) != tree.widths):
             raise ValueError(f"message from helper {h} does not match the tree's "
                              "segment modes and block widths")
-    stacked = np.stack([np.concatenate(msg.blocks) for msg in messages])
-    q = _apply(enc.field, mat_inverse(enc.field, enc.rows(helpers)), stacked)
+    symbols = np.concatenate([block for msg in messages for block in msg.blocks])
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= field.q):
+        row = np.nonzero((symbols < 0) | (symbols >= field.q))[0][0]  # j * beta + i: helper j
+        raise ValueError(f"message from helper {helpers[row * d // len(symbols)]} "
+                         f"holds a symbol outside GF({field.q})")
+    stripes = symbols.shape[1:]
+    if plan is not None:
+        flat = symbols.reshape(len(symbols), math.prod(stripes))
+        payload = mat_mul(field, flat.T, plan).T.reshape((tree.alpha,) + stripes)
+        return NodeShare(index=failed, payload=payload)
+    stacked = symbols.reshape((d, len(symbols) // d) + stripes)
+    q = _apply(field, mat_inverse(field, enc.rows(helpers)), stacked)
     return NodeShare(index=failed, payload=rebuild_payload(enc, tree, failed, q))
 
 
@@ -439,10 +449,10 @@ def recover_data(
         raise ValueError(f"each share must carry {tree.alpha} elements")
     # observed = Gamma_K . top + Upsilon_K . bottom, so column by column
     # top = G . observed - (G . Upsilon_K) . bottom with G = Gamma_K^-1
-    rows = [i - 1 for i in order_k]
-    gamma_inv = mat_inverse(field, enc.gamma(k)[rows])
+    psi_k = enc.rows(order_k)
+    gamma_inv = mat_inverse(field, psi_k[:, :k])
     g_observed = _apply(field, gamma_inv, np.stack([by_index[i].payload for i in order_k]))
-    g_upsilon = mat_mul(field, gamma_inv, enc.upsilon(k)[rows])
+    g_upsilon = mat_mul(field, gamma_inv, psi_k[:, k:])
     stripes = g_observed.shape[2:]
 
     extracted: dict[int, NDArray[np.int64]] = {}

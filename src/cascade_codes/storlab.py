@@ -73,11 +73,12 @@ def bytes_to_symbols(data: bytes, q: int) -> NDArray[np.uint8]:
     return symbols
 
 
-def symbols_to_bytes(symbols: NDArray[np.int64]) -> bytes:
-    """Inverse of bytes_to_symbols for in-range symbol streams."""
-    arr = np.asarray(symbols, dtype=np.int64)
-    if arr.size and (int(arr.min()) < 0 or int(arr.max()) > 255):
-        raise ValueError("symbol stream does not fit back into bytes")
+def symbols_to_bytes(symbols: NDArray) -> bytes:
+    """Inverse of bytes_to_symbols; a symbol outside 0..255 raises ValueError."""
+    arr = np.asarray(symbols).ravel()
+    if arr.size and (arr.min() < 0 or arr.max() > 255):
+        offender = int(np.argmax((arr < 0) | (arr > 255)))
+        raise ValueError(f"symbol {arr[offender]} at offset {offender} does not fit in a byte")
     return arr.astype(np.uint8).tobytes()
 
 
@@ -298,16 +299,15 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     """Regenerate node `failed`; returns (share path, symbols moved).
 
     Each helper computes its message for all stripes with one product with
-    the compiled helper plan, and the failed node's payload is one product
-    of the received messages with the regenerate plan. Each helper's message
+    the compiled helper plan, and codec.regenerate_node checks the messages
+    and makes one product with the compiled regenerate plan. Each message
     crosses a real serialization boundary once, carrying every stripe, and
     the reported bandwidth counts the symbols deserialized: d * beta per
     stripe. The helpers may be listed in any order.
 
     Raises:
         ValueError: On bad node indices, repeated helpers, a missing or
-            foreign share, or a message that does not fit its helper and
-            failed node or holds a symbol outside the field.
+            foreign share, or a message that regenerate_node refuses.
     """
     entries, key = _load_system(manifest_path)
     (failed,) = _node_set("failed node", [failed], 1, key.n)
@@ -315,28 +315,18 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     if failed in helpers:
         raise ValueError("the failed node cannot help itself")
     system = code_system(key)
-    field, alpha, beta = system.field, system.params.alpha, system.params.beta
-    stripes = entries["stripe_count"]
-    shares = _read_shares(shares_dir, entries, helpers, field.dtype)
+    alpha, stripes = system.params.alpha, entries["stripe_count"]
+    shares = _read_shares(shares_dir, entries, helpers, system.field.dtype)
     helper_map = helper_plan(key, failed)
-
-    received = np.empty((stripes, key.d * beta), dtype=field.dtype)
-    moved = 0
+    messages = []
     for j, h in enumerate(helpers):
         share = NodeShare(index=h, payload=shares[:, j * alpha:(j + 1) * alpha].T)
         batch = helper_repair_message(system.enc, system.tree, share, failed, helper_map)
-        message = RepairMessage.from_bytes(batch.to_bytes(), key.d, stripes)
-        if (message.failed, message.helper, message.modes) != (failed, h, batch.modes):
-            raise ValueError(f"message from node {message.helper} for node "
-                             f"{message.failed} does not fit helper {h} repairing {failed}")
-        symbols = np.concatenate(message.blocks)
-        if (symbols >= field.q).any():
-            raise ValueError(f"message from helper {h} holds a symbol outside "
-                             f"GF({field.q})")
-        moved += message.total_symbols
-        received[:, j * beta:(j + 1) * beta] = symbols.T
-    rebuilt = mat_mul(field, received, regenerate_plan(key, failed, helpers))
-    return _write_share(shares_dir, key, failed, rebuilt), moved
+        messages.append(RepairMessage.from_bytes(batch.to_bytes(), key.d, stripes))
+    rebuilt = regenerate_node(system.enc, system.tree, failed, helpers, messages,
+                              regenerate_plan(key, failed, helpers))
+    moved = sum(message.total_symbols for message in messages)
+    return _write_share(shares_dir, key, failed, rebuilt.payload.T), moved
 
 
 def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,

@@ -206,6 +206,21 @@ def test_recover_data_validation():
         recover_data(enc, tree, [1, 2, 3], [shares[0], shares[1], shares[3]])
 
 
+@pytest.mark.parametrize("node", [0, 7], ids=["zero", "above-n"])
+def test_node_outside_1_to_n_is_refused(node):
+    # node 0 once indexed Psi's last row, so node 6's share under index 0
+    # repaired and recovered without error; node 7 raised IndexError
+    field, enc, tree, data, sm, shares = _system(6, 3, 4, 2)
+    alias = NodeShare(index=node, payload=shares[5].payload)
+    helpers = [node, 2, 3, 4]
+    messages = [helper_repair_message(enc, tree, share, 1)
+                for share in (alias, shares[1], shares[2], shares[3])]
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..6"):
+        regenerate_node(enc, tree, 1, helpers, messages)
+    with pytest.raises(ValueError, match=f"node {node} out of range 1..6"):
+        recover_data(enc, tree, [node, 2, 3], [alias, shares[1], shares[2]])
+
+
 def test_recover_data_every_observer_set():
     field, enc, tree, data, sm, shares = _system(6, 3, 4, 2, seed=13)
     for observers in itertools.combinations(range(1, 7), 3):

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascade_codes import plans
@@ -20,6 +21,7 @@ from cascade_codes.codec import (
     helper_repair_message,
     recover_data,
     regenerate_node,
+    split_blocks,
 )
 from cascade_codes.fqlinalg import BinaryField, mat_mul
 from cascade_codes.params import code_params
@@ -224,6 +226,56 @@ def test_helper_plan_matches_reference_message():
     assert batched.total_symbols == reference.total_symbols == 9 * system.params.beta
     for a, b in zip(batched.blocks, reference.blocks):
         assert np.array_equal(a, b)
+
+
+def _messages(system, failed, helpers, symbols):
+    # rows j * beta .. (j + 1) * beta of the symbols are helper j's message
+    beta = system.params.beta
+    return [RepairMessage(failed, h, system.tree.modes,
+                          split_blocks(symbols[j * beta:(j + 1) * beta], system.tree.widths))
+            for j, h in enumerate(helpers)]
+
+
+@st.composite
+def regenerations(draw):
+    k, d, mu = draw(st.sampled_from(POINTS))
+    key = plans.CodeKey(draw(st.sampled_from([13, 256, 257])), d + draw(st.integers(1, 2)),
+                        k, d, mu, draw(st.booleans()))
+    failed = draw(st.integers(1, key.n))
+    helpers = draw(st.permutations([h for h in range(1, key.n + 1) if h != failed]))[:d]
+    stripes = draw(st.sampled_from([None, 0, 1, 3]))
+    shape = (d * code_params(k, d, mu).beta,) + (() if stripes is None else (stripes,))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    return key, failed, tuple(helpers), rng.integers(0, key.q, size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regenerations())
+def test_regenerate_plan_branch_matches_reference(case):
+    # the map is linear, so any in-field messages check it, not only real ones
+    key, failed, helpers, symbols = case
+    system = plans.code_system(key)
+    messages = _messages(system, failed, helpers, symbols)
+    reference = regenerate_node(system.enc, system.tree, failed, helpers, messages)
+    compiled = regenerate_node(system.enc, system.tree, failed, helpers, messages,
+                               plans.regenerate_plan(key, failed, helpers))
+    assert compiled.payload.shape == reference.payload.shape
+    assert np.array_equal(compiled.payload, reference.payload)
+
+
+@pytest.mark.parametrize("q", [256, 257])
+@pytest.mark.parametrize("compiled", [False, True], ids=["reference", "plan"])
+def test_regenerate_node_rejects_symbol_outside_the_field(q, compiled):
+    # 300 once indexed past GF(2^8)'s tables, and at q = 257 gave a wrong share
+    key = plans.CodeKey(q, 6, 3, 4, 2, False)
+    system = plans.code_system(key)
+    helpers = (1, 3, 4, 5)
+    symbols = np.random.default_rng(3).integers(0, q, size=(4 * system.params.beta, 3))
+    symbols[2 * system.params.beta + 1, 2] = 300
+    plan = plans.regenerate_plan(key, 2, helpers) if compiled else None
+    with pytest.raises(ValueError, match=f"helper 4 holds a symbol outside GF\\({q}\\)"):
+        regenerate_node(system.enc, system.tree, 2, helpers,
+                        _messages(system, 2, helpers, symbols), plan)
 
 
 def test_binary_mat_mul_memory_is_output_sized():

@@ -62,6 +62,15 @@ def test_byte_symbol_round_trip():
     assert "257" in str(err.value)
 
 
+@pytest.mark.parametrize("symbols, named", [
+    (np.array([7, 3, 256, 300], dtype=np.uint16), "symbol 256 at offset 2"),
+    (np.array([7, -1, 3], dtype=np.int64), "symbol -1 at offset 1"),
+], ids=["above-255", "negative"])
+def test_symbols_to_bytes_names_the_first_offender(symbols, named):
+    with pytest.raises(ValueError, match=named):
+        symbols_to_bytes(symbols)
+
+
 def test_share_file_round_trip(tmp_path):
     payload = np.arange(14, dtype=np.int64) % 7
     path = tmp_path / share_filename(3)
@@ -319,6 +328,28 @@ def test_repair_rejects_symbol_outside_the_field(tmp_path, monkeypatch, q):
     with pytest.raises(ValueError, match=f"helper 4 .* GF\\({q}\\)"):
         repair_shares(manifest, out, 2, [1, 3, 4, 5])
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_repair_regenerates_once_through_the_compiled_plan(tmp_path, monkeypatch):
+    # repair has one regenerate path: the library entry point, which checks
+    # the messages, given the compiled plan
+    src = tmp_path / "a.bin"
+    src.write_bytes(bytes(range(256)) * 3)
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    lost = (out / share_filename(2)).read_bytes()
+    (out / share_filename(2)).unlink()
+    real = storlab.regenerate_node
+    plans_given = []
+
+    def counting(enc, tree, failed, helpers, messages, plan=None):
+        plans_given.append(plan)
+        return real(enc, tree, failed, helpers, messages, plan)
+
+    monkeypatch.setattr(storlab, "regenerate_node", counting)
+    repair_shares(manifest, out, 2, [5, 1, 4, 3])
+    assert len(plans_given) == 1 and plans_given[0] is not None
+    assert (out / share_filename(2)).read_bytes() == lost
 
 
 @pytest.mark.parametrize("existing", [True, False])
