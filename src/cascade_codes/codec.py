@@ -157,7 +157,8 @@ class RepairMessage:
     total length is beta. Blocks may carry a trailing stripe axis, shape
     (width, stripes): by helper-independence one message then carries the
     helper's symbols for every stripe of a file, and crosses the wire as
-    one message.
+    one message. Only the symbols cross it: the modes and widths are the
+    segment tree's, which both ends derive from (k, d, mu).
     """
 
     failed: int
@@ -170,76 +171,59 @@ class RepairMessage:
         return sum(np.size(b) for b in self.blocks)
 
     def to_bytes(self) -> bytes:
-        """Wire layout: failed, helper, segment count (2B BE), then per
-        segment its mode (1B) and its block as 2-byte big-endian elements.
+        """Wire layout: failed, helper, segment count (2B BE), then every
+        block in segment order as 2-byte big-endian elements.
 
         A (width, stripes) block is written row by row: element i of stripe
-        s sits at position i * stripes + s of the block. A 1-stripe message
-        is therefore byte-identical to the same message without the axis.
+        s sits at position i * stripes + s of the block.
 
         Raises:
             ValueError: On an element outside [0, 65536).
         """
-        parts = [bytes((self.failed, self.helper)), len(self.modes).to_bytes(2, "big")]
         values = (np.concatenate(self.blocks, dtype=np.int64) if self.blocks
                   else np.zeros(0, dtype=np.int64))
         if (values >> 16).any():  # negative values shift to -1
-            raise ValueError("element does not fit in two bytes")
-        data = values.astype(">u2").tobytes()
-        pos = 0
-        for mode, block in zip(self.modes, self.blocks):
-            parts.append(bytes((mode,)))
-            parts.append(data[pos:pos + 2 * np.size(block)])
-            pos += 2 * np.size(block)
-        return b"".join(parts)
+            raise ValueError(f"message from helper {self.helper} holds an element "
+                             "that does not fit in two bytes")
+        header = bytes((self.failed, self.helper)) + len(self.blocks).to_bytes(2, "big")
+        return header + values.astype(">u2").tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, d: int, stripes: int | None = None) -> "RepairMessage":
-        """Parse the wire layout; d fixes each mode's block length.
+    def from_bytes(cls, data: bytes, tree: HierarchyTree,
+                   stripes: int | None = None) -> "RepairMessage":
+        """Parse the wire layout; the receiver's tree lays out the blocks.
 
         Args:
+            tree: The segment tree of the code; its modes and widths are
+                the message's.
             stripes: The stripe count the message must carry; its blocks
                 then have shape (width, stripes). None parses one stripe
                 into 1-D blocks.
 
         Raises:
-            ValueError: On a mode above d, on input shorter or longer than
-                the layout for this stripe count, or on a negative count.
+            ValueError: On input shorter than the header and, naming the
+                helper, on a segment count other than the tree's, a
+                negative stripe count, or a length other than the layout's.
         """
-        per = 1 if stripes is None else stripes
-        if per < 0:
-            raise ValueError(f"stripe count {per} is negative")
         if len(data) < 4:
-            raise ValueError("repair message shorter than its header")
+            named = f" from helper {data[1]}" if len(data) > 1 else ""
+            raise ValueError(f"repair message{named} is shorter than its 4-byte header")
         failed, helper = data[0], data[1]
         count = int.from_bytes(data[2:4], "big")
-        pos = 4
-        modes = []
-        widths = []
-        spans = []
-        for _ in range(count):
-            if pos >= len(data):
-                raise ValueError("repair message truncated in a segment header")
-            mode = data[pos]
-            pos += 1
-            if mode > d:
-                raise ValueError(f"segment mode {mode} exceeds d = {d}")
-            width = binomial(d - 1, mode - 1)
-            size = 2 * width * per
-            if pos + size > len(data):
-                raise ValueError("repair message truncated in a segment block")
-            modes.append(mode)
-            widths.append(width)
-            spans.append((pos, size))
-            pos += size
-        if pos != len(data):
-            raise ValueError("trailing bytes after the last segment block")
-        body = b"".join(data[start:start + size] for start, size in spans)
-        values = np.frombuffer(body, dtype=">u2").astype(np.int64)
-        if stripes is not None:
-            values = values.reshape(sum(widths), stripes)
-        return cls(failed=failed, helper=helper, modes=tuple(modes),
-                   blocks=split_blocks(values, widths))
+        if count != len(tree):
+            raise ValueError(f"message from helper {helper} has {count} segments, "
+                             f"the tree {len(tree)}")
+        per = 1 if stripes is None else stripes
+        if per < 0:
+            raise ValueError(f"message from helper {helper}: stripe count {per} is negative")
+        beta = sum(tree.widths)
+        if len(data) != 4 + 2 * beta * per:
+            raise ValueError(f"message from helper {helper} has {len(data)} bytes, "
+                             f"expected {4 + 2 * beta * per} for {per} stripes")
+        shape = (beta,) if stripes is None else (beta, stripes)
+        values = np.frombuffer(data, dtype=">u2", offset=4).astype(np.int64).reshape(shape)
+        return cls(failed=failed, helper=helper, modes=tree.modes,
+                   blocks=split_blocks(values, tree.widths))
 
 
 def _repair_basis(
@@ -322,7 +306,8 @@ def regenerate_node(
     Raises:
         ValueError: Unless exactly d distinct helpers, none equal to the
             failed node, with one matching message each whose modes and
-            block widths are the tree's and whose symbols lie in GF(q).
+            block widths are the tree's, whose stripe axis is the first
+            message's, and whose symbols lie in GF(q).
     """
     field, d = enc.field, tree.d
     if len(helpers) != d or len(set(helpers)) != d:
@@ -339,6 +324,11 @@ def regenerate_node(
                 or tuple(len(block) for block in msg.blocks) != tree.widths):
             raise ValueError(f"message from helper {h} does not match the tree's "
                              "segment modes and block widths")
+        # message 0 passed the width check, so it has a first block
+        first = np.shape(messages[0].blocks[0])[1:]
+        if any(np.shape(block)[1:] != first for block in msg.blocks):
+            raise ValueError(f"message from helper {h} has a stripe axis other than "
+                             f"{first}, which helper {helpers[0]}'s message carries")
     symbols = np.concatenate([block for msg in messages for block in msg.blocks])
     if symbols.size and (symbols.min() < 0 or symbols.max() >= field.q):
         row = np.nonzero((symbols < 0) | (symbols >= field.q))[0][0]  # j * beta + i: helper j

@@ -172,8 +172,8 @@ def read_manifest(path: Path) -> dict[str, object]:
     """Parse a manifest back into a dict, integer-typing the numeric keys.
 
     Raises:
-        ValueError: On unknown structure, missing keys, or a non-integer
-            value of a numeric key (naming the key).
+        ValueError: On unknown structure, a repeated or missing key, or a
+            non-integer value of a numeric key (naming the key).
     """
     entries: dict[str, object] = {}
     for line in path.read_text().splitlines():
@@ -182,6 +182,8 @@ def read_manifest(path: Path) -> dict[str, object]:
         key, sep, value = line.partition(" = ")
         if not sep or key not in MANIFEST_KEYS:
             raise ValueError(f"unexpected manifest line {line!r}")
+        if key in entries:
+            raise ValueError(f"manifest repeats key {key!r}")
         if key in _MANIFEST_INTS:
             try:
                 value = int(value)
@@ -322,7 +324,7 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
     for j, h in enumerate(helpers):
         share = NodeShare(index=h, payload=shares[:, j * alpha:(j + 1) * alpha].T)
         batch = helper_repair_message(system.enc, system.tree, share, failed, helper_map)
-        messages.append(RepairMessage.from_bytes(batch.to_bytes(), key.d, stripes))
+        messages.append(RepairMessage.from_bytes(batch.to_bytes(), system.tree, stripes))
     rebuilt = regenerate_node(system.enc, system.tree, failed, helpers, messages,
                               regenerate_plan(key, failed, helpers))
     moved = sum(message.total_symbols for message in messages)

@@ -147,34 +147,30 @@ def oracle_parse_share(data: bytes) -> tuple[dict[str, int], list[int]]:
                     for t in range(len(body) // 2)]
 
 
-def oracle_message_bytes(failed: int, helper: int, modes: list[int],
-                         blocks: list[list[int]]) -> bytes:
+def oracle_message_bytes(failed: int, helper: int, blocks: list[list[int]]) -> bytes:
     """Repair message bytes written one element at a time: failed, helper,
-    segment count (2B BE), then per segment its mode byte and its block."""
+    segment count (2B BE), then every block's elements in segment order."""
     out = bytearray((failed, helper))
-    out += len(modes).to_bytes(2, "big")
-    for mode, block in zip(modes, blocks):
-        out.append(mode)
+    out += len(blocks).to_bytes(2, "big")
+    for block in blocks:
         for value in block:
             out += int(value).to_bytes(2, "big")
     return bytes(out)
 
 
-def oracle_parse_message(data: bytes, d: int) -> tuple[int, int, list[int], list[list[int]]]:
-    """(failed, helper, modes, blocks) of well-formed repair message bytes;
-    a mode-m block holds C(d-1, m-1) elements."""
-    count = int.from_bytes(data[2:4], "big")
+def oracle_parse_message(data: bytes, d: int,
+                         modes: list[int]) -> tuple[int, int, list[list[int]]]:
+    """(failed, helper, blocks) of well-formed repair message bytes; the
+    receiver knows the segment modes, and a mode-m block holds C(d-1, m-1)
+    elements."""
     pos = 4
-    modes, blocks = [], []
-    for _ in range(count):
-        mode = data[pos]
-        pos += 1
+    blocks = []
+    for mode in modes:
         width = oracle_binomial(d - 1, mode - 1)
         blocks.append([int.from_bytes(data[pos + 2 * t:pos + 2 * t + 2], "big")
                        for t in range(width)])
-        modes.append(mode)
         pos += 2 * width
-    return data[0], data[1], modes, blocks
+    return data[0], data[1], blocks
 
 
 def oracle_striped_message_bytes(failed: int, helper: int, modes: list[int], d: int,
@@ -182,14 +178,13 @@ def oracle_striped_message_bytes(failed: int, helper: int, modes: list[int], d: 
     """One repair message for several stripes, written one element at a time.
 
     stripe_blocks[s][t] is the block that segment t would carry in stripe
-    s's own message. The header and the mode bytes are those of one
-    message; segment t's block then holds its element 0 for every stripe,
-    then its element 1 for every stripe, and so on.
+    s's own message. The header is that of one message; segment t's block
+    then holds its element 0 for every stripe, then its element 1 for every
+    stripe, and so on.
     """
     out = bytearray((failed, helper))
     out += len(modes).to_bytes(2, "big")
     for t, mode in enumerate(modes):
-        out.append(mode)
         for i in range(oracle_binomial(d - 1, mode - 1)):
             for blocks in stripe_blocks:
                 out += int(blocks[t][i]).to_bytes(2, "big")

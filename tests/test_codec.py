@@ -34,6 +34,7 @@ from cascade_codes.fqlinalg import (
     mat_rank,
 )
 from cascade_codes.params import code_params, overlap_dimension_formula
+from cascade_codes.plans import CodeKey, regenerate_plan
 
 
 def _system(n, k, d, mu, q=7, seed=0, semi=False):
@@ -117,7 +118,7 @@ def test_repair_message_wire_round_trip():
     for mode, block in zip(msg.modes, msg.blocks):
         assert len(block) == binomial(3, mode - 1) if mode else len(block) == 0
     wire = msg.to_bytes()
-    back = RepairMessage.from_bytes(wire, 4)
+    back = RepairMessage.from_bytes(wire, tree)
     assert back.failed == msg.failed and back.helper == msg.helper
     assert back.modes == msg.modes
     for a, b in zip(back.blocks, msg.blocks):
@@ -128,12 +129,12 @@ def test_repair_message_wire_round_trip():
 def test_repair_message_wire_errors():
     field, enc, tree, data, sm, shares = _system(6, 3, 4, 2, seed=3)
     wire = helper_repair_message(enc, tree, shares[0], 2).to_bytes()
+    with pytest.raises(ValueError, match="from helper 1 "):
+        RepairMessage.from_bytes(wire[:-1], tree)
+    with pytest.raises(ValueError, match="from helper 1 "):
+        RepairMessage.from_bytes(wire + b"\x00", tree)
     with pytest.raises(ValueError):
-        RepairMessage.from_bytes(wire[:-1], 4)
-    with pytest.raises(ValueError):
-        RepairMessage.from_bytes(wire + b"\x00", 4)
-    with pytest.raises(ValueError):
-        RepairMessage.from_bytes(b"", 4)
+        RepairMessage.from_bytes(b"", tree)
 
 
 def test_helper_repair_message_rejects_self_help():
@@ -175,6 +176,22 @@ def test_regenerate_node_rejects_misplaced_blocks():
             regenerate_node(enc, tree, 2, helpers, messages)
 
 
+@pytest.mark.parametrize("compiled", [False, True], ids=["reference", "plan"])
+def test_regenerate_node_names_a_helper_with_another_stripe_axis(compiled):
+    # helper 4 carries 2 stripes, the others 3: refused before any product
+    systems = [_system(6, 3, 4, 2, q=257, seed=s) for s in range(3)]
+    _, enc, tree, *_ = systems[0]
+    helpers = (1, 3, 4, 5)
+    messages = []
+    for h in helpers:
+        payload = np.stack([system[5][h - 1].payload for system in systems], axis=1)
+        share = NodeShare(h, payload[:, :2] if h == 4 else payload)
+        messages.append(helper_repair_message(enc, tree, share, 2))
+    plan = regenerate_plan(CodeKey(257, 6, 3, 4, 2, False), 2, helpers) if compiled else None
+    with pytest.raises(ValueError, match="helper 4 .*helper 1"):
+        regenerate_node(enc, tree, 2, helpers, messages, plan)
+
+
 def test_regenerate_node_exhaustive_small():
     field, enc, tree, data, sm, shares = _system(6, 3, 4, 2, seed=7)
     for failed in range(1, 7):
@@ -193,7 +210,7 @@ def test_regenerate_node_bandwidth_matches_formula():
     for h in (2, 4, 6):
         msg = helper_repair_message(enc, tree, shares[h - 1], 1)
         assert msg.total_symbols == beta
-        assert len(msg.to_bytes()) == 4 + len(msg.modes) + 2 * beta
+        assert len(msg.to_bytes()) == 4 + 2 * beta
 
 
 def test_recover_data_validation():

@@ -40,7 +40,6 @@ class Reference:
 
     def __init__(self, q, n, k, d, mu, semi, data: bytes):
         self.system = plans.code_system(plans.CodeKey(q, n, k, d, mu, semi))
-        self.d = d
         f_size = self.system.params.file_size
         self.stripes = -(-len(data) // f_size)
         symbols = list(data) + [0] * (self.stripes * f_size - len(data))
@@ -58,7 +57,7 @@ class Reference:
         out = []
         for stripe in self.shares:
             messages = [RepairMessage.from_bytes(
-                helper_repair_message(enc, tree, stripe[h - 1], failed).to_bytes(), self.d)
+                helper_repair_message(enc, tree, stripe[h - 1], failed).to_bytes(), tree)
                 for h in helpers]
             out.extend(int(v) for v in
                        regenerate_node(enc, tree, failed, helpers, messages).payload)

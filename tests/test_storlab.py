@@ -123,6 +123,20 @@ def test_manifest_round_trip(tmp_path):
         read_manifest(path)
 
 
+def test_manifest_repeated_key_is_refused(tmp_path):
+    # a second semi_systematic line would otherwise select the other encoder
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(250)) * 4)
+    out = tmp_path / "shares"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    with manifest.open("a") as f:
+        f.write("semi_systematic = 1\n")
+    (out / share_filename(2)).unlink()
+    with pytest.raises(ValueError, match="repeats key 'semi_systematic'"):
+        repair_shares(manifest, out, 2, [1, 3, 4, 5])
+    assert not (out / share_filename(2)).exists()
+
+
 def test_encode_repair_recover_files(tmp_path):
     rng = random.Random(41)
     blob = bytes(rng.randrange(256) for _ in range(1000))

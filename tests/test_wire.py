@@ -65,95 +65,114 @@ def test_share_file_errors_name_the_fault(tmp_path):
 
 
 @st.composite
+def trees(draw):
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(k, 7))
+    return build_tree(k, d, draw(st.integers(1, k)))
+
+
+def _widths(tree):
+    # block lengths from the oracle, not from the tree's own widths
+    return [oracle_binomial(tree.d - 1, m - 1) for m in tree.modes]
+
+
+@st.composite
 def messages(draw):
-    d = draw(st.integers(1, 7))
-    modes = draw(st.lists(st.integers(0, d), max_size=8))
-    blocks = [draw(st.lists(st.integers(0, 0xFFFF), min_size=w, max_size=w))
-              for w in (oracle_binomial(d - 1, m - 1) for m in modes)]
-    return d, draw(st.integers(0, 255)), draw(st.integers(0, 255)), modes, blocks
+    tree = draw(trees())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = [[rng.randrange(1 << 16) for _ in range(w)] for w in _widths(tree)]
+    return tree, draw(st.integers(0, 255)), draw(st.integers(0, 255)), blocks
 
 
 @settings(max_examples=80, deadline=None)
 @given(messages())
 def test_repair_message_matches_oracle(case):
-    d, failed, helper, modes, blocks = case
-    msg = RepairMessage(failed=failed, helper=helper, modes=tuple(modes),
+    tree, failed, helper, blocks = case
+    msg = RepairMessage(failed=failed, helper=helper, modes=tree.modes,
                         blocks=tuple(np.array(b, dtype=np.int64) for b in blocks))
     wire = msg.to_bytes()
-    assert wire == oracle_message_bytes(failed, helper, modes, blocks)
-    back = RepairMessage.from_bytes(wire, d)
-    assert (back.failed, back.helper, list(back.modes),
-            [b.tolist() for b in back.blocks]) == oracle_parse_message(wire, d)
-    assert back.total_symbols == sum(len(b) for b in blocks)
+    assert wire == oracle_message_bytes(failed, helper, blocks)
+    beta = sum(len(b) for b in blocks)
+    assert len(wire) == 4 + 2 * beta
+    back = RepairMessage.from_bytes(wire, tree)
+    assert back.modes == tree.modes
+    assert (back.failed, back.helper, [b.tolist() for b in back.blocks]) == \
+        oracle_parse_message(wire, tree.d, list(tree.modes))
+    assert back.total_symbols == beta
 
 
 def test_repair_message_errors():
-    wire = oracle_message_bytes(1, 2, [2, 0, 1], [[5, 6, 7], [], [9]])
-    assert RepairMessage.from_bytes(wire, 4).total_symbols == 4
-    for bad in (wire[:3], wire[:4 + 1 + 3], wire[:-1], wire + b"\x00",
-                wire[:2] + (4).to_bytes(2, "big") + wire[4:]):
-        with pytest.raises(ValueError):
-            RepairMessage.from_bytes(bad, 4)
+    # (6,3,4,2) has two segments, of modes 2 and 0: beta = 3
+    tree = build_tree(3, 4, 2)
+    wire = oracle_message_bytes(1, 2, [[5, 6, 7], []])
+    assert RepairMessage.from_bytes(wire, tree).total_symbols == 3
+    miscount = wire[:2] + (3).to_bytes(2, "big") + wire[4:]
+    # messages of (6,3,4,1), one segment, and of (6,3,4,3), two of other widths
+    other_mu = [oracle_message_bytes(1, 2, [[0] * w for w in _widths(build_tree(3, 4, mu))])
+                for mu in (1, 3)]
+    for bad in (wire[:-1], wire + b"\x00", wire[:3], miscount, *other_mu):
+        with pytest.raises(ValueError, match=r"from helper 2\b"):
+            RepairMessage.from_bytes(bad, tree)
+    with pytest.raises(ValueError, match=r"from helper 2\b"):
+        RepairMessage.from_bytes(wire, tree, -1)
+    with pytest.raises(ValueError, match="header"):  # one byte carries no helper
+        RepairMessage.from_bytes(wire[:1], tree)
     for value in (-1, 1 << 16):
         msg = RepairMessage(failed=1, helper=2, modes=(1,), blocks=(np.array([value]),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"from helper 2\b"):
             msg.to_bytes()
 
 
 @st.composite
 def striped_messages(draw):
-    k = draw(st.integers(1, 5))
-    d = draw(st.integers(k, 7))
-    mu = draw(st.integers(1, k))
-    modes = [spec.mode for spec in build_tree(k, d, mu).segments]
+    tree = draw(trees())
     stripes = draw(st.sampled_from([0, 1, 2, 37]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
-    stripe_blocks = [[[rng.randrange(1 << 16) for _ in range(w)] for w in widths]
+    stripe_blocks = [[[rng.randrange(1 << 16) for _ in range(w)] for w in _widths(tree)]
                      for _ in range(stripes)]
-    return d, draw(st.integers(0, 255)), draw(st.integers(0, 255)), modes, stripe_blocks
+    return tree, draw(st.integers(0, 255)), draw(st.integers(0, 255)), stripe_blocks
 
 
-def _striped(failed, helper, modes, d, stripe_blocks):
+def _striped(tree, failed, helper, stripe_blocks):
     # one message carrying every stripe, as (width, stripes) blocks
-    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
     blocks = tuple(np.array([blocks[t] for blocks in stripe_blocks], dtype=np.int64)
-                   .reshape(len(stripe_blocks), w).T for t, w in enumerate(widths))
-    return RepairMessage(failed=failed, helper=helper, modes=tuple(modes), blocks=blocks)
+                   .reshape(len(stripe_blocks), w).T for t, w in enumerate(_widths(tree)))
+    return RepairMessage(failed=failed, helper=helper, modes=tree.modes, blocks=blocks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(striped_messages())
 def test_striped_repair_message_matches_oracle(case):
-    d, failed, helper, modes, stripe_blocks = case
+    tree, failed, helper, stripe_blocks = case
     stripes = len(stripe_blocks)
-    wire = _striped(failed, helper, modes, d, stripe_blocks).to_bytes()
-    assert wire == oracle_striped_message_bytes(failed, helper, modes, d, stripe_blocks)
-    back = RepairMessage.from_bytes(wire, d, stripes)
-    assert (back.failed, back.helper, list(back.modes)) == (failed, helper, modes)
-    widths = [oracle_binomial(d - 1, m - 1) for m in modes]
+    modes = list(tree.modes)
+    wire = _striped(tree, failed, helper, stripe_blocks).to_bytes()
+    assert wire == oracle_striped_message_bytes(failed, helper, modes, tree.d, stripe_blocks)
+    widths = _widths(tree)
+    assert len(wire) == 4 + 2 * sum(widths) * stripes
+    back = RepairMessage.from_bytes(wire, tree, stripes)
+    assert (back.failed, back.helper, back.modes) == (failed, helper, tree.modes)
     assert [b.shape for b in back.blocks] == [(w, stripes) for w in widths]
     for t, block in enumerate(back.blocks):
         assert block.T.tolist() == [blocks[t] for blocks in stripe_blocks]
     assert back.total_symbols == stripes * sum(widths)
-    if stripes == 1:  # one stripe is the per-stripe format, byte for byte
-        assert wire == oracle_message_bytes(failed, helper, modes, stripe_blocks[0])
-        assert [b.tolist() for b in RepairMessage.from_bytes(wire, d).blocks] == \
+    if stripes == 1:  # one stripe is the unstriped format, byte for byte
+        assert wire == oracle_message_bytes(failed, helper, stripe_blocks[0])
+        assert [b.tolist() for b in RepairMessage.from_bytes(wire, tree).blocks] == \
             stripe_blocks[0]
 
 
 def test_striped_repair_message_errors():
-    stripe_blocks = [[[5, 6, 7], [], [9]], [[1, 2, 3], [], [4]]]
-    msg = _striped(1, 2, [2, 0, 1], 4, stripe_blocks)
+    tree = build_tree(3, 4, 2)
+    msg = _striped(tree, 1, 2, [[[5, 6, 7], []], [[1, 2, 3], []]])
     wire = msg.to_bytes()
-    assert RepairMessage.from_bytes(wire, 4, 2).total_symbols == 8
+    assert RepairMessage.from_bytes(wire, tree, 2).total_symbols == 6
     for bad, stripes in ((wire[:-1], 2), (wire + b"\x00", 2), (wire, 1), (wire, 3),
-                         (wire, -1), (wire, 0)):
-        with pytest.raises(ValueError):
-            RepairMessage.from_bytes(bad, 4, stripes)
-    with pytest.raises(ValueError):
-        RepairMessage.from_bytes(wire, 4)
-    big = RepairMessage(failed=1, helper=2, modes=(1,),
-                        blocks=(np.array([[3, 1 << 16]], dtype=np.int64),))
-    with pytest.raises(ValueError):
+                         (wire, -1), (wire, 0), (wire, None)):
+        with pytest.raises(ValueError, match=r"from helper 2\b"):
+            RepairMessage.from_bytes(bad, tree, stripes)
+    big = RepairMessage(failed=1, helper=2, modes=(2, 0),
+                        blocks=(np.array([[3, 1 << 16]] * 3, dtype=np.int64),
+                                np.zeros((0, 2), dtype=np.int64)))
+    with pytest.raises(ValueError, match=r"from helper 2\b"):
         big.to_bytes()
