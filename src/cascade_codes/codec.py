@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,6 +32,9 @@ from .detseg import (
 )
 from . import fqlinalg
 from .fqlinalg import Field, mat_inverse, mat_mul, mat_rank
+
+if TYPE_CHECKING:
+    from .plans import LinearMap
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def helper_repair_message(
     tree: HierarchyTree,
     share: NodeShare,
     failed: int,
-    plan: NDArray | None = None,
+    plan: LinearMap | None = None,
 ) -> RepairMessage:
     """Compress helper h's contribution toward rebuilding node `failed`.
 
@@ -261,8 +264,8 @@ def helper_repair_message(
     stripe axis gives blocks that carry it.
 
     Args:
-        plan: The compiled alpha x beta helper map of this failed node (see
-            plans.helper_plan); when given, one product with it replaces the
+        plan: The compiled alpha -> beta helper map of this failed node (see
+            plans.helper_plan); when given, applying it replaces the
             per-segment repair encoders.
 
     Raises:
@@ -274,7 +277,7 @@ def helper_repair_message(
     if len(share.payload) != tree.alpha:
         raise ValueError(f"share payload must have {tree.alpha} elements")
     if plan is not None:
-        blocks = split_blocks(_apply(field, plan.T, share.payload), tree.widths)
+        blocks = split_blocks(plan.apply(share.payload.T).T, tree.widths)
     else:
         blocks = []
         for spec, start in zip(tree.segments, tree.offsets):
@@ -291,7 +294,7 @@ def regenerate_node(
     failed: int,
     helpers: Sequence[int],
     messages: Sequence[RepairMessage],
-    plan: NDArray | None = None,
+    plan: LinearMap | None = None,
 ) -> NodeShare:
     """Rebuild the failed node's share from d helper messages, exactly.
 
@@ -301,7 +304,7 @@ def regenerate_node(
 
     Args:
         plan: plans.regenerate_plan of this failed node and helper order;
-            when given, one product with it replaces both steps.
+            when given, applying it replaces both steps.
 
     Raises:
         ValueError: Unless exactly d distinct helpers, none equal to the
@@ -334,12 +337,9 @@ def regenerate_node(
         row = np.nonzero((symbols < 0) | (symbols >= field.q))[0][0]  # j * beta + i: helper j
         raise ValueError(f"message from helper {helpers[row * d // len(symbols)]} "
                          f"holds a symbol outside GF({field.q})")
-    stripes = symbols.shape[1:]
     if plan is not None:
-        flat = symbols.reshape(len(symbols), math.prod(stripes))
-        payload = mat_mul(field, flat.T, plan).T.reshape((tree.alpha,) + stripes)
-        return NodeShare(index=failed, payload=payload)
-    stacked = symbols.reshape((d, len(symbols) // d) + stripes)
+        return NodeShare(index=failed, payload=plan.apply(symbols.T).T)
+    stacked = symbols.reshape((d, len(symbols) // d) + symbols.shape[1:])
     q = _apply(field, mat_inverse(field, enc.rows(helpers)), stacked)
     return NodeShare(index=failed, payload=rebuild_payload(enc, tree, failed, q))
 

@@ -41,12 +41,24 @@ def _narrowest_dtype(q: int) -> np.dtype:
     return np.dtype(np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int64)
 
 
+def _chunks(rows: NDArray, out: NDArray, elem_bytes: int):
+    # (rows, out) blocks of whole stripes whose temporaries, elem_bytes per
+    # output element, fit the bytes of one dense block
+    step = max(1, 8 * _BLOCK_ELEMS // max(1, out.shape[1] * elem_bytes))
+    return ((rows[lo:lo + step], out[lo:lo + step]) for lo in range(0, len(rows), step))
+
+
 class PrimeField:
     """GF(p) for a prime p, on numpy int64 arrays with values in [0, p).
 
     ``dtype`` is the narrowest unsigned dtype holding every element; matrix
     products come back in it.
     """
+
+    # dense terms that one gather slot costs: three integer passes against
+    # one multiply-add in einsum's float64 loop. The gather won at widths
+    # 13 and 6 of 324 and 81 rows, and lost at 48 of 162 and 6 of 6
+    gather_cost = 4
 
     def __init__(self, q: int):
         if not is_prime(q):
@@ -106,6 +118,25 @@ class PrimeField:
             out[:, j:j + step] = np.remainder(block, self.q, out=block)
         return out
 
+    def gather_mul(self, rows: NDArray, idx: NDArray, coef: NDArray) -> NDArray:
+        # ELLPACK product, out[:, c] = sum over slots s of coef[s, c] *
+        # rows[:, idx[s, c]], summed in an unsigned type that holds
+        # width * (q - 1)^2 and reduced once per chunk of stripes
+        bound = len(idx) * (self.q - 1) ** 2
+        if bound >= 1 << 64:
+            raise ValueError(f"width {len(idx)} is too large for exact sums over GF({self.q})")
+        acc_type = np.dtype(np.uint32 if bound < 1 << 32 else np.uint64)
+        out = np.empty((len(rows), idx.shape[1]), dtype=self.dtype)
+        # per output element: the sum, one product and one gathered input
+        for block, chunk in _chunks(rows, out, 2 * acc_type.itemsize + rows.itemsize):
+            acc = np.zeros(chunk.shape, dtype=acc_type)
+            term = np.empty_like(acc)
+            for s in range(len(idx)):
+                acc += np.multiply(block[:, idx[s]], coef[s], out=term, dtype=acc_type,
+                                   casting="unsafe")
+            chunk[:] = np.remainder(acc, self.q, out=acc)
+        return out
+
 
 class BinaryField:
     """GF(2^s) over a fixed primitive polynomial, with one product table and
@@ -114,6 +145,10 @@ class BinaryField:
     Elements are below 2^8, so ``dtype`` (the dtype of matrix products) is
     uint8.
     """
+
+    # both kernels look _mul_table up once per term, so a gather that skips
+    # any row pays: it won at widths 12 of 21 rows and lost at 12 of 12
+    gather_cost = 1
 
     def __init__(self, s: int):
         if s not in _IRREDUCIBLE_POLY:
@@ -187,6 +222,17 @@ class BinaryField:
         out = np.zeros((a.shape[0], b.shape[1]), dtype=self.dtype)
         for t in range(a.shape[1]):
             out ^= self._mul_table[a[:, t:t + 1], b[t:t + 1, :]]
+        return out
+
+    def gather_mul(self, rows: NDArray, idx: NDArray, coef: NDArray) -> NDArray:
+        # ELLPACK product: XOR over slots s of coef[s, c] * rows[:, idx[s, c]],
+        # one _mul_table lookup per slot
+        out = np.zeros((len(rows), idx.shape[1]), dtype=self.dtype)
+        # per output element: one gathered input, its intp index copy and
+        # one product
+        for block, chunk in _chunks(rows, out, rows.itemsize + 9):
+            for s in range(len(idx)):
+                chunk ^= self._mul_table[coef[s], block[:, idx[s]]]
         return out
 
 

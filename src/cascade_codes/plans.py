@@ -1,9 +1,10 @@
 # Compiled linear plans: encode, the helper message, regenerate and recover
-# are each a fixed GF(q) matrix, built once from a batched pass of the
-# reference code over the identity and cached by key
+# are each a fixed GF(q) map, built once from a batched pass of the
+# reference code over the identity, cached by key and applied as a LinearMap
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -74,7 +75,76 @@ def code_system(key: CodeKey) -> CodeSystem:
                       params=code_params(key.k, key.d, key.mu))
 
 
-def _compile(key: CodeKey, rows: int, cols: int, run) -> NDArray:
+@dataclass(frozen=True)
+class LinearMap:
+    """A compiled GF(q) map of `shape` (inputs, outputs), applied to the
+    rows of a stripe-major array.
+
+    Dense, ``coef`` is the inputs x outputs matrix and ``idx`` is None. As an
+    ELLPACK gather, ``idx`` (intp) and ``coef`` are (width, outputs): slot s
+    of output column c adds coef[s, c] times input idx[s, c], and a slot a
+    column does not need holds coefficient 0. :func:`linear_map` picks the
+    form.
+    """
+
+    field: Field
+    shape: tuple[int, int]
+    coef: NDArray
+    idx: NDArray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.coef.nbytes + (0 if self.idx is None else self.idx.nbytes)
+
+    def dense(self) -> NDArray:
+        """The inputs x outputs matrix in ``field.dtype``, read-only."""
+        if self.idx is None:
+            return self.coef
+        out = np.zeros(self.shape, dtype=self.field.dtype)
+        # unused slots add 0 to a row their column may also use, so add, not assign
+        np.add.at(out, (self.idx, np.arange(self.shape[1])), self.coef)
+        out.flags.writeable = False
+        return out
+
+    def apply(self, rows: NDArray) -> NDArray:
+        """(..., inputs) field elements -> (..., outputs) in ``field.dtype``.
+
+        A gather runs over chunks of stripes whose temporaries fit one
+        dense kernel block.
+        """
+        rows = np.asarray(rows)
+        lead = rows.shape[:-1]
+        if len(lead) != 1:  # one stripe, or several stripe axes
+            flat = rows.reshape(math.prod(lead), self.shape[0])
+            return self.apply(flat).reshape(lead + (self.shape[1],))
+        if self.idx is None:
+            return mat_mul(self.field, rows, self.coef)
+        return self.field.gather_mul(rows, self.idx, self.coef)
+
+
+def linear_map(field: Field, plan: NDArray) -> LinearMap:
+    """The LinearMap of an inputs x outputs matrix in ``field.dtype``.
+
+    The form rule: a gather when its width (the most nonzeros in any
+    output column) times ``field.gather_cost`` stays below the input count,
+    else dense. The gather is built in O(nonzeros) and no dense copy is kept.
+    """
+    counts = np.count_nonzero(plan, axis=0)
+    width = int(counts.max(initial=0))
+    if width * field.gather_cost >= plan.shape[0]:
+        plan.flags.writeable = False
+        return LinearMap(field, plan.shape, plan)
+    cols, rows = np.nonzero(plan.T)  # column-major, so each column's rows are consecutive
+    slots = np.arange(len(cols)) - (np.cumsum(counts) - counts)[cols]
+    idx = np.zeros((width, plan.shape[1]), dtype=np.intp)
+    coef = np.zeros((width, plan.shape[1]), dtype=plan.dtype)
+    idx[slots, cols] = rows
+    coef[slots, cols] = plan[rows, cols]
+    idx.flags.writeable = coef.flags.writeable = False
+    return LinearMap(field, plan.shape, coef, idx)
+
+
+def _compile(key: CodeKey, rows: int, cols: int, run) -> LinearMap:
     # plan[j] is the image of unit vector j: `run` maps a block of identity
     # columns (rows x w) to their images (cols x w)
     system = code_system(key)
@@ -83,12 +153,11 @@ def _compile(key: CodeKey, rows: int, cols: int, run) -> NDArray:
     for start in range(0, rows, width):
         unit = np.eye(rows, min(width, rows - start), -start, dtype=np.int64)
         plan[start:start + width] = run(system, unit).T
-    plan.flags.writeable = False
-    return plan
+    return linear_map(system.field, plan)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def encode_plan(key: CodeKey) -> NDArray:
+def encode_plan(key: CodeKey) -> LinearMap:
     """F x (n * alpha): file stripe -> the n shares' payloads, node by node."""
     p = code_system(key).params
 
@@ -100,7 +169,7 @@ def encode_plan(key: CodeKey) -> NDArray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def helper_plan(key: CodeKey, failed: int) -> NDArray:
+def helper_plan(key: CodeKey, failed: int) -> LinearMap:
     """alpha x beta: one helper's payload -> its message toward `failed`.
 
     The message depends only on the payload and the failed node, never on
@@ -116,7 +185,7 @@ def helper_plan(key: CodeKey, failed: int) -> NDArray:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def regenerate_plan(key: CodeKey, failed: int, helpers: tuple[int, ...]) -> NDArray:
+def regenerate_plan(key: CodeKey, failed: int, helpers: tuple[int, ...]) -> LinearMap:
     """(d * beta) x alpha: the helpers' messages, in the given helper order
     and each in segment order, -> the failed node's payload."""
     system = code_system(key)
@@ -131,7 +200,7 @@ def regenerate_plan(key: CodeKey, failed: int, helpers: tuple[int, ...]) -> NDAr
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def recover_plan(key: CodeKey, observers: tuple[int, ...]) -> NDArray:
+def recover_plan(key: CodeKey, observers: tuple[int, ...]) -> LinearMap:
     """(k * alpha) x F: the observers' payloads, in the given order -> the
     file stripe."""
     p = code_system(key).params

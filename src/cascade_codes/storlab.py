@@ -28,7 +28,7 @@ from .codec import (
 )
 from .combin import binomial, subsets_lex
 from .detseg import det_repair_symbol, repair_encoder
-from .fqlinalg import Field, field_for_order, is_prime, mat_mul, mat_rank
+from .fqlinalg import Field, field_for_order, is_prime, mat_rank
 from .params import code_params, params_implicit, t_sequence
 from .plans import (
     CodeKey,
@@ -220,8 +220,8 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
 
     The file is split into stripes of F symbols (one byte per symbol), the
     final stripe zero-padded, and each node's share concatenates its alpha
-    elements per stripe. All stripes are encoded by one product with the
-    compiled encode plan.
+    elements per stripe. The compiled encode map (a plans.LinearMap)
+    encodes all stripes in one apply.
 
     Raises:
         ValueError: On invalid parameters, q < n, or bytes outside the field.
@@ -236,7 +236,7 @@ def encode_file(input_path: Path, out_dir: Path, n: int, k: int, d: int, mu: int
     f_size, alpha = system.params.file_size, system.params.alpha
     rows = np.zeros((entries["stripe_count"], f_size), dtype=np.uint8)
     rows.reshape(-1)[:symbols.size] = symbols
-    coded = mat_mul(system.field, rows, encode_plan(key))
+    coded = encode_plan(key).apply(rows)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(1, n + 1):
@@ -300,9 +300,9 @@ def repair_shares(manifest_path: Path, shares_dir: Path, failed: int,
                   helpers: Sequence[int]) -> tuple[Path, int]:
     """Regenerate node `failed`; returns (share path, symbols moved).
 
-    Each helper computes its message for all stripes with one product with
-    the compiled helper plan, and codec.regenerate_node checks the messages
-    and makes one product with the compiled regenerate plan. Each message
+    Each helper computes its message for all stripes in one apply of the
+    compiled helper map, and codec.regenerate_node checks the messages and
+    applies the compiled regenerate map once. Each message
     crosses a real serialization boundary once, carrying every stripe, and
     the reported bandwidth counts the symbols deserialized: d * beta per
     stripe. The helpers may be listed in any order.
@@ -335,8 +335,8 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
                  nodes: Sequence[int] | None = None) -> Path:
     """Rebuild the original file from any k shares and write it to out_path.
 
-    All stripes are decoded by one product with the compiled recover plan
-    of the chosen nodes, in any order (default: the first k present). The
+    All stripes are decoded in one apply of the compiled recover map of
+    the chosen nodes, in any order (default: the first k present). The
     file is written beside out_path and renamed over it, so a failed write
     leaves no partial file.
 
@@ -354,7 +354,7 @@ def recover_file(manifest_path: Path, out_path: Path, shares_dir: Path,
         nodes = nodes[:key.k]
     nodes = _node_set("observer", nodes, key.k, key.n)
     observed = _read_shares(shares_dir, entries, nodes, system.field.dtype)
-    symbols = mat_mul(system.field, observed, recover_plan(key, nodes)).ravel()
+    symbols = recover_plan(key, nodes).apply(observed).ravel()
     pad = entries["pad_symbols"]
     if pad:
         symbols = symbols[:-pad]

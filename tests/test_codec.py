@@ -65,6 +65,8 @@ def test_vandermonde_encoder_square_and_errors():
     field = PrimeField(7)
     square = vandermonde_encoder(field, 4, 4)
     assert encoder_conditions_hold(square, 4)
+    # q = n: the n evaluation points 0..n-1 are the whole field
+    assert encoder_conditions_hold(vandermonde_encoder(field, 7, 4), 3)
     with pytest.raises(ValueError):
         vandermonde_encoder(PrimeField(5), 6, 4)
 

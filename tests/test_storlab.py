@@ -82,6 +82,33 @@ def test_share_file_round_trip(tmp_path):
     assert np.array_equal(back, payload)
 
 
+@pytest.mark.parametrize("header, refused", [
+    ((255, 255, 255, 255, 65535, 255), None),
+    ((1, 1, 1, 1, 2, 1), None),
+    ((256, 3, 4, 2, 7, 1), "lie in 1..255"),
+    ((6, 3, 4, 256, 7, 1), "lie in 1..255"),
+    ((6, 3, 4, 2, 7, 256), "lie in 1..255"),
+    ((6, 3, 4, 2, 7, 0), "lie in 1..255"),
+    ((6, 3, 4, 2, 65536, 1), "fit in two bytes"),
+    ((6, 3, 4, 2, 1, 1), "fit in two bytes"),
+], ids=["byte-and-q-maxima", "minima", "n-256", "mu-256", "node-256", "node-0", "q-65536",
+         "q-1"])
+def test_share_header_bounds(tmp_path, header, refused):
+    # each field is one byte in 1..255 and q two bytes in 2..65535; the
+    # header rule, not the byte packing, must be what refuses
+    path = tmp_path / "node.share"
+    payload = np.zeros(3, dtype=np.int64)
+    if refused:
+        with pytest.raises(ValueError, match=refused):
+            write_share_file(path, *header, payload)
+        assert not path.exists()
+        return
+    write_share_file(path, *header, payload)
+    fields, back = read_share_file(path)
+    assert tuple(fields[name] for name in ("n", "k", "d", "mu", "q", "node")) == header
+    assert back.tolist() == [0, 0, 0]
+
+
 def test_share_file_errors(tmp_path):
     payload = np.arange(8, dtype=np.int64)
     path = tmp_path / "node001.share"
@@ -293,6 +320,18 @@ def test_missing_shares_are_named(tmp_path, call, named):
     assert not (tmp_path / "back.bin").exists()
 
 
+def test_recover_without_nodes_reads_exactly_k_present_shares(tmp_path):
+    data = bytes(range(100)) * 3
+    src = tmp_path / "a.bin"
+    src.write_bytes(data)
+    out = tmp_path / "sh"
+    manifest = encode_file(src, out, 6, 3, 4, 2, q=257)
+    for node in (1, 3, 4):
+        (out / share_filename(node)).unlink()
+    recover_file(manifest, tmp_path / "back.bin", out)
+    assert (tmp_path / "back.bin").read_bytes() == data
+
+
 def test_repair_of_empty_file_moves_nothing(tmp_path):
     src = tmp_path / "empty.bin"
     src.write_bytes(b"")
@@ -494,6 +533,10 @@ def test_cli_params(capsys):
     assert main(["params", "4", "6", "--all-modes"]) == 0
     out = capsys.readouterr().out
     assert "81" in out and "324" in out
+    # the flags column names the trade-off points: k = 4 has MBR at mu = 1,
+    # the cut-set bound at mu = k - 1 and MSR at mu = k
+    flags = {row.split()[0]: row.split()[6:] for row in out.strip().splitlines()[2:]}
+    assert flags == {"1": ["MBR"], "2": [], "3": ["cut-set"], "4": ["MSR"]}
     assert main(["params", "4", "6", "--curve"]) == 0
     curve = capsys.readouterr().out.strip().splitlines()
     assert curve[0].split("\t")[:4] == ["mu", "alpha", "beta", "F"]
