@@ -57,7 +57,7 @@ class PrimeField:
 
     # dense terms that one gather slot costs: three integer passes against
     # one multiply-add in einsum's float64 loop. The gather won at widths
-    # 13 and 6 of 324 and 81 rows, and lost at 48 of 162 and 6 of 6
+    # 13 and 6 of 324 and 81 rows, and lost at 48 of 162 and 226 of 324
     gather_cost = 4
 
     def __init__(self, q: int):

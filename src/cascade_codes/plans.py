@@ -113,13 +113,11 @@ class LinearMap:
         dense kernel block.
         """
         rows = np.asarray(rows)
-        lead = rows.shape[:-1]
-        if len(lead) != 1:  # one stripe, or several stripe axes
-            flat = rows.reshape(math.prod(lead), self.shape[0])
-            return self.apply(flat).reshape(lead + (self.shape[1],))
-        if self.idx is None:
-            return mat_mul(self.field, rows, self.coef)
-        return self.field.gather_mul(rows, self.idx, self.coef)
+        lead = rows.shape[:-1]  # one stripe axis, none or several
+        flat = rows.reshape(math.prod(lead), self.shape[0])
+        out = (mat_mul(self.field, flat, self.coef) if self.idx is None
+               else self.field.gather_mul(flat, self.idx, self.coef))
+        return out.reshape(lead + (self.shape[1],))
 
 
 def linear_map(field: Field, plan: NDArray) -> LinearMap:
